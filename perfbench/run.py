@@ -12,31 +12,29 @@ batches repeat until ``--seconds`` have passed.  Every output is checked
 object holding the end-to-end metrics; with ``--trace 1`` it holds the
 per-layer metrics of traced batches (see spans.py).  The lines
 before it print every metric with its unit and sample count.  Exit codes: 0 success,
-1 a wrong answer or changed interpreter state, 2 the program is missing.
+1 a wrong answer, an op with a nonzero exit code or changed interpreter
+state, 2 the program is missing.
 """
 
+import argparse
+import contextlib
+import gc
+import importlib
+import io
+import json
+import resource
+import statistics
+import sys
 import time
-
-START = time.perf_counter()
-
-import argparse  # noqa: E402
-import contextlib  # noqa: E402
-import importlib  # noqa: E402
-import io  # noqa: E402
-import json  # noqa: E402
-import resource  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import traceback  # noqa: E402
-from collections import Counter  # noqa: E402
-from pathlib import Path  # noqa: E402
+import traceback
+from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORKDIR = HERE / ".work"
 MODULES = ("cli", "tailorder", "certificate", "enumeration", "function_graph", "graph", "graph6")
-SETUP_REPEATS = 5
+SETUP_REPEATS = 21
 
 sys.path[:0] = [str(SRC), str(HERE)]
 from spans import Tracer  # noqa: E402
@@ -44,13 +42,20 @@ from workloads import WORKLOADS  # noqa: E402
 
 
 class WrongAnswer(Exception):
-    pass
+    """A wrong or missing answer: a failed check, an op that exited nonzero,
+    or an op that changed the interpreter's limits."""
+
+
+def loaded_program():
+    """The program's modules in ``sys.modules``, by full name."""
+    return {n: m for n, m in sys.modules.items()
+            if n == "wellcovered" or n.startswith("wellcovered.")}
 
 
 def import_program():
     """Import the package from this checkout's ``src``, dropping any copy a
     previous set-up imported, and return its modules by short name."""
-    for name in [n for n in sys.modules if n == "wellcovered" or n.startswith("wellcovered.")]:
+    for name in loaded_program():
         del sys.modules[name]
     lib = {name: importlib.import_module("wellcovered." + name) for name in MODULES}
     if not Path(lib["cli"].__file__).resolve().is_relative_to(SRC):
@@ -58,16 +63,29 @@ def import_program():
     return lib
 
 
-def set_up(name, seed, t0):
+def set_up(name, seed):
     """Import the program afresh and write the workload's input files.
-    Returns (modules, workload, seconds since t0)."""
+    Returns (modules, workload, seconds taken)."""
+    t0 = time.perf_counter()
     lib = import_program()
     workload = WORKLOADS[name](lib, seed, WORKDIR)
     return lib, workload, time.perf_counter() - t0
 
 
+def time_set_up(name, seed):
+    """Seconds one more set-up takes.  The modules the batches use are put
+    back afterwards, so the copy imported here is never run."""
+    used = loaded_program()
+    gc.collect()  # each set-up starts from the same heap, not the batches' garbage
+    took = set_up(name, seed)[2]
+    for module in loaded_program():
+        del sys.modules[module]
+    sys.modules.update(used)
+    return took
+
+
 def run_op(lib, argv):
-    """One CLI call; returns (exit code, seconds, stdout)."""
+    """One CLI call; returns (exit code, seconds, stdout, stderr)."""
     limits = (sys.getrecursionlimit(), sys.get_int_max_str_digits())
     out, err = io.StringIO(), io.StringIO()
     t0 = time.perf_counter()
@@ -83,13 +101,14 @@ def run_op(lib, argv):
     after = (sys.getrecursionlimit(), sys.get_int_max_str_digits())
     if after != limits:
         raise WrongAnswer(f"{argv} changed (recursion limit, int digits) {limits} -> {after}")
-    return code, elapsed, out.getvalue()
+    return code, elapsed, out.getvalue(), err.getvalue()
 
 
 def run_batch(lib, workload):
     """Run one batch, then check it.  Returns (wall seconds, op records of
-    (op, exit code, seconds, stdout length)); outputs are dropped once
-    checked, so they do not add to the peak memory of later batches."""
+    (op, seconds, stdout length)); outputs are dropped once checked, so they
+    do not add to the peak memory of later batches.  Every op of every
+    workload is expected to succeed, so a nonzero exit code fails the run."""
     ops = workload.batch()
     outputs = []
     t0 = time.perf_counter()
@@ -97,13 +116,14 @@ def run_batch(lib, workload):
         outputs.append((op, *run_op(lib, op.argv)))
     wall = time.perf_counter() - t0
     records = []
-    for op, code, elapsed, stdout in outputs:
-        records.append((op, code, elapsed, len(stdout)))
+    for op, code, elapsed, stdout, stderr in outputs:
+        records.append((op, elapsed, len(stdout)))
         if code != 0:
-            continue  # a failure, counted by the caller; not a wrong answer
+            last = stderr.strip().splitlines()[-1:] or [""]
+            raise WrongAnswer(f"{' '.join(op.argv)}: exit {code}: {last[0][:200]}")
         try:
             error = op.check(stdout)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OSError) as exc:
             error = f"malformed output: {exc!r}"
         if error:
             raise WrongAnswer(f"{' '.join(op.argv)}: {error}")
@@ -117,7 +137,7 @@ def quantile(values, share):
 
 
 def measure(name, seed, seconds, lib, workload, first_setup):
-    """Untraced batches for ``seconds``; returns the metric table.
+    """Untraced batches for ``seconds``; returns (metric table, ops run).
 
     Every batch runs the same ops.  ``batch_s`` sums each op's fastest
     time over the run's batches, and the per-command times are its parts.
@@ -127,10 +147,11 @@ def measure(name, seed, seconds, lib, workload, first_setup):
     the program's own cost.  The median batch wall time is printed beside
     it as ``batch_median_s``.
 
-    Set-up runs again after every batch, and at least SETUP_REPEATS times
-    in all, so that the median set-up time samples the machine over the
-    whole run.  The first set-up is timed from process start, so it also
-    counts the harness's own imports.
+    Set-up is timed before the first batch, again after every batch, and
+    then until there are SETUP_REPEATS times, each time importing the
+    program afresh.  ``setup_s`` is the fastest of these, for the same
+    reason: one set-up takes tens of milliseconds, and on such a host it
+    varies by a third from one to the next.
     """
     setups, walls, runs = [first_setup], [], []
     t0 = time.perf_counter()
@@ -138,15 +159,14 @@ def measure(name, seed, seconds, lib, workload, first_setup):
         wall, batch = run_batch(lib, workload)
         walls.append(wall)
         runs.append(batch)
-        lib, workload, took = set_up(name, seed, time.perf_counter())
-        setups.append(took)
-    while len(setups) < SETUP_REPEATS:
-        setups.append(set_up(name, seed, time.perf_counter())[2])
+        setups.append(time_set_up(name, seed))
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    ops = [op for op, _, _, _ in runs[0]]
-    fastest = [min(column) for column in zip(*([e for _, _, e, _ in b] for b in runs))]
+    while len(setups) < SETUP_REPEATS:
+        setups.append(time_set_up(name, seed))
+    ops = [op for op, _, _ in runs[0]]
+    fastest = [min(column) for column in zip(*([e for _, e, _ in b] for b in runs))]
     table = {
-        "setup_s": (statistics.median(setups), "s", len(setups)),
+        "setup_s": (min(setups), "s", len(setups)),
         "batch_s": (sum(fastest), "s", len(walls)),
         "batch_median_s": (statistics.median(walls), "s", len(walls)),
         "peak_rss_mb": (rss_mb, "MB", 1),
@@ -157,16 +177,15 @@ def measure(name, seed, seconds, lib, workload, first_setup):
             table[command + "_s"] = (total, "s", len(walls))
     records = [record for batch in runs for record in batch]
     if name == "realize-tail":
-        ms = [1000 * e for _, _, e, _ in records]
+        ms = [1000 * e for _, e, _ in records]
         table["realize_p50_ms"] = (statistics.median(ms), "ms", len(ms))
         table["realize_p90_ms"] = (quantile(ms, 0.9), "ms", len(ms))
-    failed = [(op, code) for op, code, _, _ in records if code != 0]
-    table["failed_ratio"] = (len(failed) / len(records), "ratio", len(records))
-    return table, len(records), failed
+    return table, len(records)
 
 
 def measure_traced(lib, workload, seconds):
-    """Pairs of an untraced and a traced batch for ``seconds``.
+    """Pairs of an untraced and a traced batch for ``seconds``; returns
+    (metric table, ops run).
 
     Counts are per batch and must repeat exactly; self time is reported as
     a share of the traced batch's wall time.
@@ -201,8 +220,7 @@ def measure_traced(lib, workload, seconds):
     table["trace.batch_s"] = (statistics.median(traced), "s", len(traced))
     table["trace.overhead_ratio"] = (
         statistics.median(traced) / statistics.median(plain), "ratio", len(traced))
-    failed = [(op, code) for op, code, _, _ in records if code != 0]
-    return table, len(records), failed
+    return table, len(records)
 
 
 LAYER_COUNTS = (
@@ -227,7 +245,7 @@ LAYER_TIMES = (
 END_TO_END = ("setup_s", "batch_s", "peak_rss_mb")
 PER_LAYER = (
     *LAYER_COUNTS,
-    "certificate.plan_at_m.per_plan", "cli.stdout_bytes", "cli.main.failed",
+    "certificate.plan_at_m.per_plan", "cli.stdout_bytes",
     *(name + ".self_pct" for name in LAYER_TIMES),
     "trace.batch_s", "trace.overhead_ratio",
 )
@@ -238,8 +256,7 @@ def layer_table(tracer, wall, batch):
     plans = tracer.counts.get("certificate.build_plan.calls", 0)
     per_plan = tracer.counts.get("certificate.plan_at_m.calls", 0) / plans if plans else 0
     table["certificate.plan_at_m.per_plan"] = (per_plan, "count", 1)
-    table["cli.stdout_bytes"] = (sum(size for _, _, _, size in batch), "count", 1)
-    table["cli.main.failed"] = (sum(1 for _, code, _, _ in batch if code != 0), "count", 1)
+    table["cli.stdout_bytes"] = (sum(size for _, _, size in batch), "count", 1)
     self_times = tracer.self_times()
     for name in LAYER_TIMES:
         table[name + ".self_pct"] = (100 * self_times.get(name, 0.0) / wall, "%", 1)
@@ -255,33 +272,28 @@ def main(argv=None):
     args = parser.parse_args(argv)
     WORKDIR.mkdir(exist_ok=True)
     try:
-        lib, workload, first_setup = set_up(args.workload, args.seed, START)
+        lib, workload, first_setup = set_up(args.workload, args.seed)
     except ImportError as exc:
         print(f"cannot import the program from {SRC}: {exc}", file=sys.stderr)
         return 2
     try:
         if args.trace:
-            table, attempted, failed = measure_traced(lib, workload, args.seconds)
+            table, attempted = measure_traced(lib, workload, args.seconds)
         else:
-            table, attempted, failed = measure(
+            table, attempted = measure(
                 args.workload, args.seed, args.seconds, lib, workload, first_setup)
         correct = True
     except WrongAnswer as exc:
         print(f"wrong answer: {exc}", file=sys.stderr)
-        table, attempted, failed, correct = {}, 1, [], False
+        table, attempted, correct = {}, 1, False
     reported = PER_LAYER if args.trace else END_TO_END
     for key, (value, unit, samples) in table.items():
         shown = value if isinstance(value, int) else f"{value:.6g}"
         print(f"{args.workload} {key} = {shown} {unit} (n={samples})")
-    codes = Counter(
-        f"exit {code}: {op.command}" + (f" -q {op.argv[2]}" if op.command == "realize" else "")
-        for op, code in failed)
-    for key, count in sorted(codes.items()):
-        print(f"{args.workload} failed ops, {key}: {count}")
     result = {
         "correct": correct,
         "attempted": attempted,
-        "failed": len(failed),
+        "failed": 0 if correct else 1,
         "metrics": {
             key: {"value": table[key][0], "unit": table[key][1]}
             for key in reported if key in table
