@@ -4,10 +4,6 @@ plans for prescribed coefficient sequences, and realization of arbitrary
 independence-sequence tail orderings."""
 
 from .certificate import (
-    BDecomposition,
-    CertificateCheck,
-    CertificatePlan,
-    PlanComponent,
     TargetSequence,
     b_decomposition,
     build_plan,
@@ -18,24 +14,18 @@ from .certificate import (
     verify_certificate,
 )
 from .enumeration import (
-    ChainCheck,
-    CliqueExtensionReport,
-    WellCoveredReport,
     binomial_ratio_check,
     check_clique_extension,
     clique_polynomial,
     cliques_of_size,
     independence_polynomial,
-    independence_polynomial_bruteforce,
     is_well_covered,
     maximal_cliques,
     maximal_independent_sets,
 )
 from .errors import BudgetExceededError
 from .function_graph import (
-    DEFAULT_VERTEX_BUDGET,
     FunctionVertex,
-    GlobalFunction,
     build_function_graph,
     clique_count_closed_form,
     clique_of,
@@ -47,8 +37,6 @@ from .graph6 import Graph6Error, from_graph6, to_graph6
 from .polynomial import Polynomial
 from .subsets import KSubsetCodec
 from .tailorder import (
-    GraphCheck,
-    RealizationReport,
     TailPermutation,
     epsilon_from_target,
     realize,
@@ -60,25 +48,14 @@ from .tailorder import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BDecomposition",
     "BudgetExceededError",
-    "CertificateCheck",
-    "CertificatePlan",
-    "ChainCheck",
-    "CliqueExtensionReport",
-    "DEFAULT_VERTEX_BUDGET",
     "FunctionVertex",
-    "GlobalFunction",
     "Graph",
     "Graph6Error",
-    "GraphCheck",
     "KSubsetCodec",
-    "PlanComponent",
     "Polynomial",
-    "RealizationReport",
     "TailPermutation",
     "TargetSequence",
-    "WellCoveredReport",
     "b_decomposition",
     "binomial_ratio_check",
     "build_function_graph",
@@ -97,7 +74,6 @@ __all__ = [
     "from_graph6",
     "global_functions",
     "independence_polynomial",
-    "independence_polynomial_bruteforce",
     "is_well_covered",
     "join",
     "kneser",

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import comb, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .enumeration import ChainCheck
+from .enumeration import ChainCheck, check_ratio_chain
 from .errors import BudgetExceededError
 from .function_graph import (
     DEFAULT_VERTEX_BUDGET,
@@ -26,6 +26,7 @@ from .function_graph import (
     vertex_count,
 )
 from .graph import Graph, complement, join
+from .polynomial import exact_str
 
 DEFAULT_M_CAP = 1 << 20
 
@@ -34,10 +35,6 @@ RationalLike = Union[Fraction, int, str]
 
 def _as_fraction(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)
@@ -66,17 +63,13 @@ class TargetSequence:
         return self.values[t - 1]
 
     def to_json(self) -> list[str]:
-        return [_frac_str(v) for v in self.values]
+        return [exact_str(v) for v in self.values]
 
 
 def check_binomial_chain(target: TargetSequence) -> ChainCheck:
     """Exact check of a_t/C(q,t) <= a_{t+1}/C(q,t+1) for 1 <= t < q;
     reports the smallest violating t."""
-    q = target.q
-    for t in range(1, q):
-        if target.a(t) * comb(q, t + 1) > target.a(t + 1) * comb(q, t):
-            return ChainCheck(False, t)
-    return ChainCheck(True, None)
+    return check_ratio_chain(target.q, target.a)
 
 
 @dataclass(frozen=True)
@@ -157,14 +150,14 @@ class CertificatePlan:
     def to_json(self) -> dict:
         return {
             "q": self.q,
-            "epsilon": _frac_str(self.epsilon),
+            "epsilon": exact_str(self.epsilon),
             "components": [
-                {"k": c.k, "m": c.m, "copies": str(c.copies)}
+                {"k": c.k, "m": c.m, "copies": exact_str(c.copies)}
                 for c in self.components
             ],
-            "T": str(self.scale),
-            "predicted": [str(p) for p in self.predicted],
-            "deviations": [_frac_str(d) for d in self.deviations],
+            "T": exact_str(self.scale),
+            "predicted": [exact_str(p) for p in self.predicted],
+            "deviations": [exact_str(d) for d in self.deviations],
             "low_order_counts": "closed-form, grid-validated; at or below the m-fold coverage bound",
         }
 
@@ -281,7 +274,7 @@ def build_plan(
         high *= 2
         if high > m_cap:
             raise BudgetExceededError(
-                f"no certified plan with m <= cap {m_cap} (epsilon {_frac_str(eps)})"
+                f"no certified plan with m <= cap {m_cap} (epsilon {exact_str(eps)})"
             )
         plan = plan_at_m(target, high, eps)
         if plan.certified:

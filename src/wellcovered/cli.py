@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .certificate import DEFAULT_M_CAP
 from .enumeration import (
@@ -40,19 +38,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class CliConfig:
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET
-    m_cap: int = DEFAULT_M_CAP
-    fmt: str = "json"
-    out: Optional[str] = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.vertex_budget <= 0 or self.m_cap <= 0:
-            raise ValueError("budgets must be positive")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wellcovered", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -64,8 +49,6 @@ def _build_parser() -> _Parser:
                        help="cap on the certificate retry parameter m")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", help="write primary output to this file")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized subcommands (none yet)")
 
     c = sub.add_parser("construct", help="build a function graph, emit graph6")
     c.add_argument("-k", type=int, required=True)
@@ -91,8 +74,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload, cfg: CliConfig) -> None:
-    if cfg.fmt == "json":
+def _emit(payload, fmt: str) -> None:
+    if fmt == "json":
         text = json.dumps(payload, indent=2)
     else:
         text = _render_text(payload)
@@ -124,11 +107,11 @@ def _read_graph(path: str) -> Graph:
     raise Graph6Error(f"no graph6 line found in {path}")
 
 
-def _cmd_construct(args, cfg: CliConfig) -> int:
-    g = build_function_graph(args.k, args.q, args.m, vertex_budget=cfg.vertex_budget)
+def _cmd_construct(args) -> int:
+    g = build_function_graph(args.k, args.q, args.m, vertex_budget=args.budget)
     line = to_graph6(g)
-    if cfg.out:
-        Path(cfg.out).write_bytes(line + b"\n")
+    if args.out:
+        Path(args.out).write_bytes(line + b"\n")
     else:
         print(line.decode("ascii"))
     if args.labels:
@@ -137,7 +120,7 @@ def _cmd_construct(args, cfg: CliConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args, cfg: CliConfig, parser: _Parser) -> int:
+def _cmd_check(args, parser: _Parser) -> int:
     g = _read_graph(args.input)
     if args.mode == "indpoly":
         payload = independence_polynomial(g).to_json()
@@ -150,7 +133,7 @@ def _cmd_check(args, cfg: CliConfig, parser: _Parser) -> int:
         if args.pk is None or args.pq is None or args.pm is None:
             parser.error("--mode property-p requires -k, -q and -m")
         payload = check_clique_extension(g, args.pk, args.pq, args.pm).to_json()
-    _emit(payload, cfg)
+    _emit(payload, args.format)
     return EXIT_OK
 
 
@@ -161,15 +144,16 @@ def _parse_pi(q: int, text: str) -> TailPermutation:
     return TailPermutation.from_image_list(q, (part for part in text.split(",")))
 
 
-def _cmd_realize(args, cfg: CliConfig, parser: _Parser) -> int:
+def _cmd_realize(args, parser: _Parser) -> int:
     try:
         perm = _parse_pi(args.q, args.pi)
     except (ValueError, json.JSONDecodeError) as exc:
         parser.error(f"invalid --pi: {exc}")
-    report = realize(perm, vertex_budget=cfg.vertex_budget, m_cap=cfg.m_cap)
-    _emit(report.to_json(), cfg)
-    if cfg.out and report.graph is not None:
-        Path(cfg.out).write_bytes(to_graph6(report.graph) + b"\n")
+    report = realize(perm, vertex_budget=args.budget, m_cap=args.mcap)
+    payload = report.to_json()
+    _emit(payload, args.format)
+    if args.out and report.graph is not None:
+        Path(args.out).write_bytes(payload["graph6"].encode("ascii") + b"\n")
     if not report.ordering_verified:
         print("internal failure: ordering not verified on exact counts",
               file=sys.stderr)
@@ -180,17 +164,14 @@ def _cmd_realize(args, cfg: CliConfig, parser: _Parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = CliConfig(vertex_budget=args.budget, m_cap=args.mcap,
-                        fmt=args.format, out=args.out, seed=args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.budget <= 0 or args.mcap <= 0:
+        parser.error("budgets must be positive")
     try:
         if args.command == "construct":
-            return _cmd_construct(args, cfg)
+            return _cmd_construct(args)
         if args.command == "check":
-            return _cmd_check(args, cfg, parser)
-        return _cmd_realize(args, cfg, parser)
+            return _cmd_check(args, parser)
+        return _cmd_realize(args, parser)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

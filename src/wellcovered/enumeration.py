@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from math import comb
-from typing import Iterator, NamedTuple, Optional
+from math import comb, prod
+from numbers import Rational
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 from .graph import Graph, _bits, complement
 from .polynomial import Polynomial
@@ -134,25 +135,9 @@ def independence_polynomial(g: Graph) -> Polynomial:
     n = g.n
     if n == 0:
         return Polynomial([1])
+    corows = complement(g).rows
 
-    def co_components(mask: int) -> list[int]:
-        comps = []
-        remaining = mask
-        while remaining:
-            seed = remaining & -remaining
-            comp = 0
-            frontier = seed
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for u in _bits(frontier):
-                    nxt |= mask & ~rows[u] & ~(1 << u)
-                frontier = nxt & ~comp
-            comps.append(comp)
-            remaining &= ~comp
-        return comps
-
-    def solve(mask: int) -> list[int]:
+    def solve(mask: int) -> Sequence[int]:
         size = mask.bit_count()
         if size == 0:
             return [1]
@@ -160,17 +145,9 @@ def independence_polynomial(g: Graph) -> Polynomial:
             return [1, 1]
         comps = _components(mask, rows)
         if len(comps) > 1:
-            result = [1]
-            for comp in comps:
-                part = solve(comp)
-                out = [0] * (len(result) + len(part) - 1)
-                for i, a in enumerate(result):
-                    if a:
-                        for jj, b in enumerate(part):
-                            out[i + jj] += a * b
-                result = out
-            return result
-        cocomps = co_components(mask)
+            factors = (Polynomial(solve(c)) for c in comps)
+            return prod(factors, start=Polynomial([1])).coeffs
+        cocomps = _components(mask, corows)
         if len(cocomps) > 1:
             parts = [solve(c) for c in cocomps]
             out = [0] * max(len(p) for p in parts)
@@ -204,26 +181,6 @@ def independence_polynomial(g: Graph) -> Polynomial:
     finally:
         sys.setrecursionlimit(limit)
     return Polynomial(coeffs)
-
-
-def independence_polynomial_bruteforce(g: Graph) -> Polynomial:
-    """Independent oracle: count independent sets by enumerating all 2^n
-    subsets.  Limited to n <= 20."""
-    n = g.n
-    if n > 20:
-        raise ValueError(f"brute-force oracle limited to n <= 20, got {n}")
-    rows = g.rows
-    counts = [0] * (n + 1)
-    counts[0] = 1
-    independent = bytearray(1 << n)
-    independent[0] = 1
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        rest = mask ^ low
-        if independent[rest] and not rows[low.bit_length() - 1] & rest:
-            independent[mask] = 1
-            counts[mask.bit_count()] += 1
-    return Polynomial(counts)
 
 
 def clique_polynomial(g: Graph) -> Polynomial:
@@ -363,12 +320,20 @@ class ChainCheck(NamedTuple):
     first_violation: Optional[int]
 
 
+def check_ratio_chain(q: int, a: Callable[[int], Rational]) -> ChainCheck:
+    """Exact check of a(t)/C(q,t) <= a(t+1)/C(q,t+1) for 1 <= t < q,
+    cross-multiplied; reports the smallest violating t."""
+    for t in range(1, q):
+        if a(t) * comb(q, t + 1) > a(t + 1) * comb(q, t):
+            return ChainCheck(False, t)
+    return ChainCheck(True, None)
+
+
 def binomial_ratio_check(g: Graph) -> ChainCheck:
     """Check i_t / C(q,t) <= i_{t+1} / C(q,t+1) for 1 <= t < q on a
     well-covered graph with independence number q.
 
-    Comparison is exact (cross-multiplied big integers).  Raises
-    ValueError when the input graph is not well-covered.
+    Raises ValueError when the input graph is not well-covered.
     """
     report = is_well_covered(g)
     if not report.is_well_covered:
@@ -377,11 +342,4 @@ def binomial_ratio_check(g: Graph) -> ChainCheck:
             f"found maximal independent sets of sizes {len(report.witness[0])} "
             f"and {len(report.witness[1])}"
         )
-    q = report.alpha
-    poly = independence_polynomial(g)
-    for t in range(1, q):
-        lhs = poly.coefficient(t) * comb(q, t + 1)
-        rhs = poly.coefficient(t + 1) * comb(q, t)
-        if lhs > rhs:
-            return ChainCheck(False, t)
-    return ChainCheck(True, None)
+    return check_ratio_chain(report.alpha, independence_polynomial(g).coefficient)

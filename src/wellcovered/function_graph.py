@@ -37,13 +37,6 @@ class FunctionVertex:
     values: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GlobalFunction:
-    """An assignment on all k-subsets of {1..q}, colex order, values 1..m."""
-
-    values: tuple[int, ...]
-
-
 def _validate_params(k: int, q: int, m: int) -> None:
     if not 0 <= k < q:
         raise ValueError(f"need 0 <= k < q, got k={k}, q={q}")
@@ -140,32 +133,35 @@ def build_function_graph(
     return Graph(n, rows, labels)
 
 
-def global_functions(k: int, q: int, m: int) -> Iterator[GlobalFunction]:
-    """All global assignments in rank order; there are m^C(q,k) of them."""
+def global_functions(k: int, q: int, m: int) -> Iterator[tuple[int, ...]]:
+    """All global assignments in rank order; there are m^C(q,k) of them.
+
+    A global assignment gives a value in 1..m to every k-subset of
+    {1..q}, in colex order.
+    """
     _validate_params(k, q, m)
-    for vec in _vectors(comb(q, k), m):
-        yield GlobalFunction(vec)
+    yield from _vectors(comb(q, k), m)
 
 
-def clique_of(fn: GlobalFunction, k: int, q: int, m: int) -> tuple[int, ...]:
+def clique_of(fn: tuple[int, ...], k: int, q: int, m: int) -> tuple[int, ...]:
     """Vertex indices (in the graph built by :func:`build_function_graph`)
     of the q restrictions of a global assignment; always a q-clique."""
     _validate_params(k, q, m)
-    if len(fn.values) != comb(q, k):
+    if len(fn) != comb(q, k):
         raise ValueError(
-            f"global function needs {comb(q, k)} values, got {len(fn.values)}"
+            f"global function needs {comb(q, k)} values, got {len(fn)}"
         )
-    if any(not 1 <= v <= m for v in fn.values):
+    if any(not 1 <= v <= m for v in fn):
         raise ValueError("global function values must lie in 1..m")
     if k == 0:
-        copy = fn.values[0] - 1
+        copy = fn[0] - 1
         return tuple(copy * q + pos for pos in range(q))
     side = m ** comb(q - 1, k)
     full = KSubsetCodec(range(1, q + 1), k)
     out = []
     for i in range(1, q + 1):
         restricted = KSubsetCodec([x for x in range(1, q + 1) if x != i], k)
-        vec = tuple(fn.values[full.rank(a)] for a in restricted.subsets())
+        vec = tuple(fn[full.rank(a)] for a in restricted.subsets())
         out.append((i - 1) * side + _vector_rank(vec, m))
     return tuple(out)
 

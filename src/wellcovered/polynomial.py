@@ -8,7 +8,20 @@ non-negotiable here.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from decimal import Decimal
+from fractions import Fraction
+from typing import Iterable, Iterator, Union
+
+
+def exact_str(x: Union[int, Fraction]) -> str:
+    """An int as a decimal string, a Fraction as "p/q".
+
+    Goes through Decimal, which has no digit limit, so counts past
+    Python's int-to-str limit (4300 digits by default) still print.
+    """
+    if isinstance(x, Fraction):
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    return str(Decimal(x))
 
 
 class Polynomial:
@@ -72,17 +85,9 @@ class Polynomial:
                 out[i + j] += ai * bj
         return Polynomial(out)
 
-    def __pow__(self, exp: int) -> "Polynomial":
-        if exp < 0:
-            raise ValueError("negative exponent")
-        result = Polynomial([1])
-        for _ in range(exp):
-            result = result * self
-        return result
-
     def to_json(self) -> list[str]:
         """Coefficient array, constant term first, as decimal strings."""
-        return [str(c) for c in self.coeffs]
+        return [exact_str(c) for c in self.coeffs]
 
     def __repr__(self) -> str:
         return f"Polynomial({list(self.coeffs)!r})"

@@ -22,7 +22,6 @@ from .certificate import (
     DEFAULT_M_CAP,
     CertificatePlan,
     TargetSequence,
-    _frac_str,
     build_plan,
     check_binomial_chain,
     materialize,
@@ -31,6 +30,7 @@ from .enumeration import independence_polynomial, is_well_covered
 from .function_graph import DEFAULT_VERTEX_BUDGET
 from .graph import Graph
 from .graph6 import to_graph6
+from .polynomial import exact_str
 
 
 def tail_indices(q: int) -> tuple[int, ...]:
@@ -86,10 +86,10 @@ class TailPermutation:
         return tail_indices(self.q)
 
     def pi(self, t: int) -> int:
-        for key, value in self.mapping:
-            if key == t:
-                return value
-        raise ValueError(f"index {t} not in the tail set")
+        i = t - self.mapping[0][0]
+        if not 0 <= i < len(self.mapping):
+            raise ValueError(f"index {t} not in the tail set")
+        return self.mapping[i][1]
 
     def to_json(self) -> dict:
         return {str(t): v for t, v in self.mapping}
@@ -118,14 +118,9 @@ def epsilon_from_target(target: TargetSequence, indices: Iterable[int]) -> Fract
     the chosen indices.  Raises ValueError when two values tie; with
     fewer than two indices any positive epsilon works and 1/3 is returned.
     """
-    idx = sorted(set(indices))
-    values = [target.a(t) for t in idx]
-    gaps = [
-        abs(values[i] - values[j])
-        for i in range(len(values))
-        for j in range(i + 1, len(values))
-    ]
-    if any(gap == 0 for gap in gaps):
+    values = sorted(target.a(t) for t in set(indices))
+    gaps = [b - a for a, b in zip(values, values[1:])]
+    if 0 in gaps:
         raise ValueError("tail target values must be pairwise distinct")
     if not gaps:
         return Fraction(1, 3)
@@ -166,10 +161,10 @@ class RealizationReport:
         out = {
             "plan": self.plan.to_json(),
             "target": self.target.to_json(),
-            "epsilon": _frac_str(self.epsilon),
+            "epsilon": exact_str(self.epsilon),
             "ordering_verified": self.ordering_verified,
             "ordering": [t for t, _ in self.chain],
-            "counts": [str(c) for _, c in self.chain],
+            "counts": [exact_str(c) for _, c in self.chain],
             "materialized": self.materialized,
         }
         if self.graph is not None:

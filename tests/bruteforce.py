@@ -8,7 +8,7 @@ Keep these slow and obvious.
 from itertools import combinations
 from random import Random
 
-from wellcovered import Graph
+from wellcovered import Graph, Polynomial
 
 
 def random_graph(rng: Random, n: int, p: float = 0.5) -> Graph:
@@ -34,6 +34,26 @@ def independence_counts(g: Graph) -> list:
     while len(counts) > 1 and counts[-1] == 0:
         counts.pop()
     return counts
+
+
+def independence_polynomial_bruteforce(g: Graph) -> Polynomial:
+    """Independent oracle: count independent sets by enumerating all 2^n
+    subsets.  Limited to n <= 20."""
+    n = g.n
+    if n > 20:
+        raise ValueError(f"brute-force oracle limited to n <= 20, got {n}")
+    rows = g.rows
+    counts = [0] * (n + 1)
+    counts[0] = 1
+    independent = bytearray(1 << n)
+    independent[0] = 1
+    for mask in range(1, 1 << n):
+        low = mask & -mask
+        rest = mask ^ low
+        if independent[rest] and not rows[low.bit_length() - 1] & rest:
+            independent[mask] = 1
+            counts[mask.bit_count()] += 1
+    return Polynomial(counts)
 
 
 def maximal_independent_sets(g: Graph) -> set:

@@ -26,7 +26,6 @@ from wellcovered import (
     complement,
     complete,
     independence_polynomial,
-    independence_polynomial_bruteforce,
     is_well_covered,
     join,
     kneser,
@@ -41,7 +40,7 @@ from wellcovered import (
     verify_on_graph,
 )
 
-from bruteforce import random_graph
+from bruteforce import independence_polynomial_bruteforce, random_graph
 
 THIRD = Fraction(1, 3)
 

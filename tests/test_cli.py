@@ -1,7 +1,11 @@
 import json
+import sys
+from decimal import Decimal
 
 import pytest
 
+import wellcovered.cli
+import wellcovered.tailorder
 from wellcovered import (
     Graph,
     build_function_graph,
@@ -161,17 +165,41 @@ def test_realize_q4_symbolic(capsys):
     assert data["ordering_verified"] is True and data["materialized"] is False
 
 
-def test_realize_q2_with_graph_output(tmp_path, capsys):
+def test_realize_q2_with_graph_output(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def spy(g):
+        calls.append(g.n)
+        return to_graph6(g)
+
+    monkeypatch.setattr(wellcovered.cli, "to_graph6", spy)
+    monkeypatch.setattr(wellcovered.tailorder, "to_graph6", spy)
     out_path = tmp_path / "g.g6"
     code, out, _ = run(
         capsys, "realize", "-q", "2", "--pi", "2,1", "--out", str(out_path)
     )
     assert code == 0
+    assert calls == [1066]  # the certificate is encoded once
     data = json.loads(out)
     assert data["materialized"] is True
+    assert out_path.read_bytes() == data["graph6"].encode("ascii") + b"\n"
     g = from_graph6(out_path.read_bytes())
     assert g.n == 1066
     assert data["graph6"] == to_graph6(g).decode("ascii")
+
+
+def test_realize_counts_past_int_str_digit_limit(capsys):
+    # the q=12 plan has integers of about 4750 digits, past Python's
+    # default int-to-str limit
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = run(capsys, "realize", "-q", "12", "--pi", "6,7,8,9,10,11,12")
+    assert code == 0
+    assert sys.get_int_max_str_digits() == limit
+    data = json.loads(out)
+    assert data["ordering_verified"] is True
+    counts = [Decimal(c) for c in data["counts"]]
+    assert max(len(c) for c in data["counts"]) > limit
+    assert all(a < b for a, b in zip(counts, counts[1:]))
 
 
 def test_realize_pi_json_map(capsys):
@@ -192,6 +220,10 @@ def test_usage_errors(capsys):
     code, _ = run_usage_error(capsys, "frobnicate")
     assert code == 4
     code, _ = run_usage_error(capsys, "construct", "-k", "1", "-q", "3", "-m", "2", "--budget", "-5")
+    assert code == 4
+    code, _ = run_usage_error(capsys, "realize", "-q", "3", "--pi", "3,2", "--mcap", "0")
+    assert code == 4
+    code, _ = run_usage_error(capsys, "realize", "-q", "3", "--pi", "3,2", "--seed", "1")
     assert code == 4
 
 

@@ -14,7 +14,6 @@ from wellcovered import (
     complete,
     disjoint_copies,
     independence_polynomial,
-    independence_polynomial_bruteforce,
     is_well_covered,
     kneser,
     maximal_cliques,
@@ -22,6 +21,7 @@ from wellcovered import (
 )
 
 import bruteforce
+from bruteforce import independence_polynomial_bruteforce
 
 
 def path(n):

@@ -5,7 +5,6 @@ import pytest
 from wellcovered import (
     BudgetExceededError,
     FunctionVertex,
-    GlobalFunction,
     build_function_graph,
     check_clique_extension,
     clique_count_closed_form,
@@ -104,18 +103,18 @@ def test_clique_of():
 
     # constant global function at (1,3,2) gives an actual triangle
     h = build_function_graph(1, 3, 2)
-    const = GlobalFunction((1, 1, 1))
+    const = (1, 1, 1)
     triangle = clique_of(const, 1, 3, 2)
     assert len(triangle) == 3
     assert bruteforce.is_clique(h, triangle)
 
     # k = 0: value class c is the c-th copy
-    assert clique_of(GlobalFunction((2,)), 0, 3, 2) == (3, 4, 5)
+    assert clique_of((2,), 0, 3, 2) == (3, 4, 5)
 
     with pytest.raises(ValueError):
-        clique_of(GlobalFunction((1, 1)), 1, 3, 2)
+        clique_of((1, 1), 1, 3, 2)
     with pytest.raises(ValueError):
-        clique_of(GlobalFunction((1, 1, 3)), 1, 3, 2)
+        clique_of((1, 1, 3), 1, 3, 2)
 
 
 def test_restriction_cliques_cover_all_maximal_cliques():

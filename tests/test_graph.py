@@ -4,6 +4,7 @@ import pytest
 
 from wellcovered import (
     Graph,
+    Polynomial,
     complement,
     complete,
     disjoint_copies,
@@ -132,8 +133,10 @@ def test_disjoint_copies_polynomial_multiplicativity():
     for _ in range(12):
         g = random_graph(rng, rng.randint(1, 6))
         base = independence_polynomial(g)
+        power = Polynomial([1])
         for c in (1, 2, 3):
-            assert independence_polynomial(disjoint_copies(g, c)) == base**c
+            power = power * base
+            assert independence_polynomial(disjoint_copies(g, c)) == power
 
 
 def test_kneser():

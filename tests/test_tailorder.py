@@ -36,6 +36,9 @@ def test_tail_indices():
 def test_permutation_construction():
     p = perm(3, 3, 2)
     assert p.pi(2) == 3 and p.pi(3) == 2
+    for outside in (1, 4):
+        with pytest.raises(ValueError):
+            p.pi(outside)
     assert p.domain == (2, 3)
     assert TailPermutation.from_mapping(3, {2: 3, 3: 2}) == p
     assert TailPermutation.from_json(3, '{"2": 3, "3": 2}') == p
