@@ -45,8 +45,6 @@ def _build_parser() -> _Parser:
     def common(p):
         p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET,
                        help="vertex budget (default %(default)s)")
-        p.add_argument("--mcap", type=int, default=DEFAULT_M_CAP,
-                       help="cap on the certificate retry parameter m")
         p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", help="write primary output to this file")
 
@@ -70,16 +68,21 @@ def _build_parser() -> _Parser:
     r.add_argument("-q", type=int, required=True)
     r.add_argument("--pi", required=True,
                    help="tail permutation: image list like 3,2 or JSON map")
+    r.add_argument("--mcap", type=int, default=DEFAULT_M_CAP,
+                   help="cap on the certificate retry parameter m")
     common(r)
     return parser
 
 
-def _emit(payload, fmt: str) -> None:
+def _emit(payload, fmt: str, out=None) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2)
     else:
         text = _render_text(payload)
-    print(text)
+    if out:
+        Path(out).write_text(text + "\n")
+    else:
+        print(text)
 
 
 def _render_text(payload, indent: int = 0) -> str:
@@ -133,7 +136,7 @@ def _cmd_check(args, parser: _Parser) -> int:
         if args.pk is None or args.pq is None or args.pm is None:
             parser.error("--mode property-p requires -k, -q and -m")
         payload = check_clique_extension(g, args.pk, args.pq, args.pm).to_json()
-    _emit(payload, args.format)
+    _emit(payload, args.format, args.out)
     return EXIT_OK
 
 
@@ -164,7 +167,7 @@ def _cmd_realize(args, parser: _Parser) -> int:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.budget <= 0 or args.mcap <= 0:
+    if args.budget <= 0 or args.command == "realize" and args.mcap <= 0:
         parser.error("budgets must be positive")
     try:
         if args.command == "construct":

@@ -4,6 +4,18 @@ Standard format: 6-bit big-endian groups offset by 63, an N(n) header,
 then the upper triangle of the adjacency matrix in column-major order
 (bit (u,v) for v = 1..n-1, u = 0..v-1), zero-padded to a multiple of six
 bits.  One graph per line in files; labels are never serialized.
+
+Both directions run on whole buffers, so their Python-level loops are per
+column or per row, never per bit or per data byte.  The bit string is an
+ASCII ``b"0"``/``b"1"`` buffer with one character per bit.  Its six bit
+planes (every sixth character) map to and from the data bytes through
+``bytes.translate`` tables and extended-slice copies; on encode the planes,
+weighted by those tables, are summed as big integers, which cannot carry
+because each byte's total stays below 127.  Decoding lays the triangle out
+as an n x n character matrix, mirrors it across the diagonal with strided
+slice assignment, and parses each row with ``int(row, 2)``.  Base-2
+parsing and ``int.from_bytes``/``int.to_bytes`` are exempt from Python's
+int/str digit limit, so that limit never needs changing.
 """
 
 from __future__ import annotations
@@ -12,6 +24,19 @@ from .graph import Graph
 
 _HEADER_PREFIX = b">>graph6<<"
 _MAX_N = (1 << 36) - 1
+_DATA_BYTES = bytes(range(63, 127))
+# Bit plane k is bit 5-k of every sextet, i.e. characters k, k+6, ... of
+# the bit string.  _PLANE_BIT[k] maps a data byte to that bit as b"0"/b"1";
+# _PLANE_WEIGHT[k] maps b"0"/b"1" to the bit's value in the data byte, plane
+# 0 also adding the offset 63.
+_PLANE_BIT = [
+    bytes.maketrans(_DATA_BYTES, (b"0" * (32 >> k) + b"1" * (32 >> k)) * (1 << k))
+    for k in range(6)
+]
+_PLANE_WEIGHT = [
+    bytes.maketrans(b"01", bytes([offset, offset + (32 >> k)]))
+    for k, offset in enumerate((63, 0, 0, 0, 0, 0))
+]
 
 
 class Graph6Error(ValueError):
@@ -55,30 +80,30 @@ def _decode_n(data: bytes) -> tuple[int, bytes]:
 def to_graph6(g: Graph) -> bytes:
     """Encode a graph as a graph6 byte string (no trailing newline)."""
     n = g.n
-    out = bytearray(_encode_n(n))
     # Column v contributes bits (0,v), (1,v), ..., (v-1,v).  The low v bits
     # of row v hold exactly those, MSB-first after string reversal.
-    chunks = []
-    for v in range(1, n):
-        col = g.rows[v] & ((1 << v) - 1)
-        chunks.append(format(col, f"0{v}b")[::-1])
-    bits = "".join(chunks)
-    if len(bits) % 6:
-        bits += "0" * (6 - len(bits) % 6)
-    for i in range(0, len(bits), 6):
-        out.append(int(bits[i : i + 6], 2) + 63)
-    return bytes(out)
+    bits = "".join(
+        format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)
+    ).encode("ascii")
+    bits += b"0" * (-len(bits) % 6)
+    body = sum(
+        int.from_bytes(bits[k::6].translate(_PLANE_WEIGHT[k]), "big") for k in range(6)
+    )
+    return _encode_n(n) + body.to_bytes(len(bits) // 6, "big")
 
 
 def from_graph6(data: bytes | str) -> Graph:
-    """Decode a graph6 byte (or text) string; inverse of :func:`to_graph6`.
+    """Decode a graph6 byte (or ASCII text) string; inverse of :func:`to_graph6`.
 
     Accepts the optional ``>>graph6<<`` prefix and surrounding whitespace.
-    Raises :class:`Graph6Error` on a malformed header, wrong data length,
-    or nonzero padding bits.
+    Raises :class:`Graph6Error` on non-ASCII text, a malformed header, wrong
+    data length, a data byte outside 63..126, or nonzero padding bits.
     """
     if isinstance(data, str):
-        data = data.encode("ascii", errors="replace")
+        try:
+            data = data.encode("ascii")
+        except UnicodeEncodeError as exc:
+            raise Graph6Error(f"non-ASCII character in graph6 text: {exc}") from None
     data = data.strip()
     if data.startswith(_HEADER_PREFIX):
         data = data[len(_HEADER_PREFIX) :].strip()
@@ -89,20 +114,21 @@ def from_graph6(data: bytes | str) -> Graph:
         raise Graph6Error(
             f"graph6 data length {len(body)} != {expected} required for n={n}"
         )
-    bits = []
-    for b in body:
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"data byte {b} outside graph6 range")
-        bits.append(format(b - 63, "06b"))
-    bitstr = "".join(bits)
-    if any(c == "1" for c in bitstr[nbits:]):
+    invalid = body.translate(None, _DATA_BYTES)
+    if invalid:
+        raise Graph6Error(f"data byte {invalid[0]} outside graph6 range")
+    bits = bytearray(6 * len(body))
+    for k in range(6):
+        bits[k::6] = body.translate(_PLANE_BIT[k])
+    if bits.find(b"1", nbits) >= 0:
         raise Graph6Error("nonzero padding bits")
-    rows = [0] * n
+    # Row v of the matrix is the binary numeral of rows[v]: bit (u,v) sits at
+    # column n-1-u of row v and, mirrored, at column n-1-v of row u.
+    matrix = bytearray(b"0") * (n * n)
     pos = 0
     for v in range(1, n):
-        for u in range(v):
-            if bitstr[pos] == "1":
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            pos += 1
-    return Graph(n, rows)
+        col = bits[pos : pos + v][::-1]
+        matrix[(v + 1) * n - v : (v + 1) * n] = col
+        matrix[v * n - 1 - v :: -n] = col
+        pos += v
+    return Graph(n, [int(matrix[v * n : (v + 1) * n], 2) for v in range(n)])

@@ -57,13 +57,20 @@ def test_construct_to_file_with_sidecar(tmp_path, capsys):
 
 
 def test_console_script_entrypoint(tmp_path):
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    # run the copy of the package under test, installed or not
+    src = str(Path(wellcovered.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     result = subprocess.run(
         [sys.executable, "-m", "wellcovered.cli", "construct", "-k", "0", "-q", "2", "-m", "1"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0
     assert from_graph6(result.stdout.strip()) == complete(2)
@@ -132,6 +139,36 @@ def test_check_mt_holds(tmp_path, capsys):
     code, out, _ = run(capsys, "check", path, "--mode", "mt")
     assert code == 0
     assert json.loads(out) == {"holds": True, "first_violation": None}
+
+
+def test_check_out_writes_file_not_stdout(tmp_path, capsys):
+    path = write_graph(tmp_path, "c4.g6", Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    for fmt in ("json", "text"):
+        code, expected, _ = run(capsys, "check", path, "--mode", "wellcovered", "--format", fmt)
+        assert code == 0
+        out_path = tmp_path / f"result.{fmt}"
+        code, out, _ = run(
+            capsys, "check", path, "--mode", "wellcovered", "--format", fmt,
+            "--out", str(out_path),
+        )
+        assert code == 0
+        assert out == ""
+        assert out_path.read_text() == expected
+
+
+def test_mcap_only_on_realize(tmp_path, capsys):
+    path = write_graph(tmp_path, "k3.g6", complete(3))
+    code, err = run_usage_error(capsys, "check", path, "--mode", "indpoly", "--mcap", "5")
+    assert code == 4
+    assert "--mcap" in err
+    code, err = run_usage_error(
+        capsys, "construct", "-k", "1", "-q", "3", "-m", "2", "--mcap", "5"
+    )
+    assert code == 4
+    assert "--mcap" in err
+    code, _, err = run(capsys, "realize", "-q", "3", "--pi", "3,2", "--mcap", "10")
+    assert code == 2
+    assert "cap 10" in err
 
 
 def test_check_malformed_file(tmp_path, capsys):

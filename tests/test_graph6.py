@@ -3,9 +3,17 @@ from random import Random
 import networkx as nx
 import pytest
 
-from wellcovered import Graph, Graph6Error, complete, from_graph6, to_graph6
+from wellcovered import (
+    Graph,
+    Graph6Error,
+    TailPermutation,
+    complete,
+    from_graph6,
+    realize,
+    to_graph6,
+)
 
-from bruteforce import random_graph
+from bruteforce import from_graph6_bitwise, graph6_header, random_graph, to_graph6_bitwise
 
 
 def test_single_vertex():
@@ -80,3 +88,81 @@ def test_malformed_inputs():
         from_graph6(b"B" + bytes([126]))  # padding bits set for n=3
     with pytest.raises(Graph6Error):
         from_graph6(b"C" + bytes([30]))  # data byte out of range
+
+
+def test_matches_bitwise_oracle():
+    # n = 0..120 covers both header forms (n = 62, 63) and every padding
+    # width: n(n-1)/2 mod 6 takes the values 0, 1, 3 and 4
+    rng = Random(23)
+    residues = set()
+    for n in range(121):
+        g = random_graph(rng, n, p=rng.random())
+        encoded = to_graph6(g)
+        assert encoded == to_graph6_bitwise(g)
+        assert from_graph6(encoded) == g
+        residues.add(n * (n - 1) // 2 % 6)
+    assert residues == {0, 1, 3, 4}
+
+
+def test_decode_matches_bitwise_oracle_on_random_bodies():
+    rng = Random(29)
+    for n in range(121):
+        nbits = n * (n - 1) // 2
+        body = bytearray(rng.randrange(63, 127) for _ in range((nbits + 5) // 6))
+        pad = -nbits % 6
+        if pad:
+            body[-1] = 63 + ((body[-1] - 63) >> pad << pad)
+        line = graph6_header(n) + bytes(body)
+        assert from_graph6(line) == from_graph6_bitwise(line)
+
+
+def test_out_of_range_last_byte_of_large_body():
+    line = bytearray(to_graph6(complete(1000)))
+    for bad in (0, 62, 127, 255):
+        line[-1] = bad
+        with pytest.raises(Graph6Error, match=f"data byte {bad} "):
+            from_graph6(bytes(line))
+        with pytest.raises(ValueError):
+            from_graph6_bitwise(bytes(line))
+
+
+def test_set_padding_bit_for_each_padding_width():
+    first_n = {}
+    for n in range(2, 12):
+        first_n.setdefault(-(n * (n - 1) // 2) % 6, n)
+    assert sorted(first_n) == [0, 2, 3, 5]
+    for width, n in first_n.items():
+        line = to_graph6(complete(n))
+        for bit in range(width):
+            bad = line[:-1] + bytes([63 + ((line[-1] - 63) | 1 << bit)])
+            with pytest.raises(Graph6Error, match="padding"):
+                from_graph6(bad)
+            with pytest.raises(ValueError):
+                from_graph6_bitwise(bad)
+
+
+def test_non_ascii_text_rejected():
+    # "?" is byte 63, a valid all-zero sextet, so replacing non-ASCII
+    # characters with it would decode "Déé" as an edgeless 5-vertex graph
+    with pytest.raises(Graph6Error, match="ASCII"):
+        from_graph6("Déé")
+    with pytest.raises(Graph6Error, match="ASCII"):
+        from_graph6(to_graph6(complete(4)).decode("ascii") + "\u00a0")
+
+
+def test_roundtrip_q2_certificate():
+    # the n=5148 certificate of realize -q 2 --pi 1,2, with 13.2M edges
+    g = realize(TailPermutation.from_image_list(2, (1, 2))).graph
+    assert g.n == 5148
+    encoded = to_graph6(g)
+    header = graph6_header(g.n)
+    assert encoded.startswith(header)
+    assert len(encoded) == len(header) + (g.n * (g.n - 1) // 2 + 5) // 6
+    assert from_graph6(encoded) == g
+    # spot-check bit (u, v), at position v(v-1)/2 + u of the body
+    rng = Random(31)
+    for _ in range(2000):
+        u, v = sorted(rng.sample(range(g.n), 2))
+        pos = v * (v - 1) // 2 + u
+        sextet = encoded[len(header) + pos // 6] - 63
+        assert (sextet >> (5 - pos % 6) & 1) == g.has_edge(u, v)

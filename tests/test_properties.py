@@ -1,15 +1,26 @@
 """Property tests of the structural rules the enumerator relies on, on
 random nested joins and disjoint unions of small graphs.  Such graphs keep
 ``independence_polynomial`` splitting into components and co-components
-at every depth; the references are the subset-enumeration oracles."""
+at every depth; the references are the subset-enumeration oracles.  Also
+the graph6 round trip against the bit-at-a-time codec."""
+
+from random import Random
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wellcovered import Graph, Polynomial, clique_polynomial, independence_polynomial, join
+from wellcovered import (
+    Graph,
+    Polynomial,
+    clique_polynomial,
+    from_graph6,
+    independence_polynomial,
+    join,
+    to_graph6,
+)
 
 import bruteforce
-from bruteforce import independence_polynomial_bruteforce
+from bruteforce import independence_polynomial_bruteforce, to_graph6_bitwise
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -54,3 +65,19 @@ def test_join_adds_above_degree_zero(g, h):
 def test_clique_polynomial_counts_cliques(g):
     counts = [len(bruteforce.cliques_of_size(g, j)) for j in range(g.n + 1)]
     assert clique_polynomial(g) == Polynomial(counts)
+
+
+@st.composite
+def random_graphs(draw, max_n: int) -> Graph:
+    """A random graph on at most ``max_n`` vertices with a drawn density."""
+    n = draw(st.integers(0, max_n))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    return bruteforce.random_graph(Random(draw(st.integers(0, 2**32))), n, density)
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_graphs(100))
+def test_graph6_roundtrip(g):
+    encoded = to_graph6(g)
+    assert encoded == to_graph6_bitwise(g)
+    assert from_graph6(encoded) == g
