@@ -248,10 +248,11 @@ def build_plan(
 ) -> CertificatePlan:
     """Certified plan at the smallest workable m.
 
-    Starts from the smallest m with 2^q/m < epsilon, doubles m until the
-    exact deviations all beat epsilon, then bisects back to the smallest
-    passing m (deviations are monotone non-increasing in m).  Raises
-    BudgetExceededError when m would exceed ``m_cap``.
+    Starts from the smallest m with 2^q/m < epsilon, doubles m (the
+    last step probes ``m_cap`` itself) until the exact deviations all
+    beat epsilon, then bisects back to the smallest passing m (deviations
+    are monotone non-increasing in m).  Raises BudgetExceededError when
+    no m <= ``m_cap`` is certified.
     """
     eps = _as_fraction(epsilon)
     if eps <= 0:
@@ -271,11 +272,11 @@ def build_plan(
     low = m  # largest known failing m
     high = m
     while True:
-        high *= 2
-        if high > m_cap:
+        if high == m_cap:
             raise BudgetExceededError(
                 f"no certified plan with m <= cap {m_cap} (epsilon {exact_str(eps)})"
             )
+        high = min(2 * high, m_cap)
         plan = plan_at_m(target, high, eps)
         if plan.certified:
             break

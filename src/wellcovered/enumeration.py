@@ -124,12 +124,21 @@ def cliques_of_size(g: Graph, j: int) -> Iterator[tuple[int, ...]]:
 def independence_polynomial(g: Graph) -> Polynomial:
     """Exact independence polynomial.
 
-    Core algorithm is the branching recurrence
-    ``I(G) = I(G - v) + x * I(G - N[v])`` on the maximum-degree pivot
-    (ties to the lowest index).  Around it sit two value-preserving
-    decompositions that keep join-heavy product graphs tractable:
-    disjoint unions multiply, and joins (detected as disconnected
-    complements) add coefficientwise above degree zero.
+    Each node first tries two value-preserving decompositions that keep
+    join-heavy product graphs tractable: disjoint unions multiply, and
+    joins (detected as disconnected complements) add coefficientwise
+    above degree zero.  A node that is connected and co-connected
+    branches by one of two rules, picked by its own edge count (s
+    vertices, degree sum D):
+
+    - sparse (``2 * D <= s * (s - 1)``, no more edges than non-edges):
+      ``I(G) = I(G - v) + x * I(G - N[v])`` on the maximum-degree pivot
+      v, ties to the lowest index;
+    - dense (more edges than non-edges): first-vertex expansion
+      ``I(G) = 1 + x * sum_v I(G[later(v) - N(v)])``, v ascending, where
+      later(v) are the vertices after v.  Each term is a non-neighbourhood
+      of a dense graph, so it is small, and it goes back through both
+      decompositions.
     """
     rows = g.rows
     n = g.n
@@ -156,14 +165,28 @@ def independence_polynomial(g: Graph) -> Polynomial:
                 for t in range(1, len(part)):
                     out[t] += part[t]
             return out
-        # connected and co-connected: branch on the pivot
+        # connected and co-connected: the edge count picks the branching rule
         pivot = -1
         best = -1
+        degree_sum = 0
         for u in _bits(mask):
             d = (rows[u] & mask).bit_count()
+            degree_sum += d
             if d > best:
                 best = d
                 pivot = u
+        if 2 * degree_sum > size * (size - 1):
+            # more edges than non-edges: expand on the first vertex
+            out = [1, 0]
+            rest = mask
+            for v in _bits(mask):
+                rest &= ~(1 << v)
+                for t, c in enumerate(solve(rest & corows[v])):
+                    if t + 1 < len(out):
+                        out[t + 1] += c
+                    else:
+                        out.append(c)
+            return out
         without = solve(mask & ~(1 << pivot))
         with_pivot = solve(mask & ~(rows[pivot] | (1 << pivot)))
         out = list(without)

@@ -195,6 +195,18 @@ def test_realize_q3_swap(capsys):
     assert data["materialized"] is False
 
 
+def test_realize_mcap_probes_the_cap(capsys):
+    # the default run certifies at m = 58; any cap >= 58 must find it,
+    # including caps the doubling steps jump over
+    for cap in ("58", "99"):
+        code, out, _ = run(capsys, "realize", "-q", "3", "--pi", "3,2", "--mcap", cap)
+        assert code == 0, cap
+        assert json.loads(out)["plan"]["components"][0]["m"] == 58
+    code, _, err = run(capsys, "realize", "-q", "3", "--pi", "3,2", "--mcap", "57")
+    assert code == 2
+    assert "cap 57" in err
+
+
 def test_realize_q4_symbolic(capsys):
     code, out, _ = run(capsys, "realize", "-q", "4", "--pi", "4,2,3")
     assert code == 0

@@ -1,3 +1,4 @@
+from math import comb
 from random import Random
 
 import pytest
@@ -50,6 +51,21 @@ def test_polynomial_matches_bruteforce_oracle():
         fast = independence_polynomial(g)
         assert list(fast) == bruteforce.independence_counts(g)
         assert fast == independence_polynomial_bruteforce(g)
+
+
+def test_dense_node_keeps_decompositions():
+    # complement of K_40 with a pendant path 40..159 hanging off vertex 0:
+    # its independent sets are the cliques of K_40 plus the path's
+    # vertices and edges, over 2^40 sets, so the dense nodes must keep
+    # splitting into components and co-components instead of walking them
+    edges = [(i, j) for i in range(40) for j in range(i + 1, 40)]
+    edges.append((0, 40))
+    edges.extend((i, i + 1) for i in range(40, 159))
+    h = Graph.from_edges(160, edges)
+    coeffs = [comb(40, t) for t in range(41)]
+    coeffs[1] += 120
+    coeffs[2] += 120
+    assert independence_polynomial(complement(h)) == Polynomial(coeffs)
 
 
 def test_bruteforce_oracle_bound():

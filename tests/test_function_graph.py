@@ -157,7 +157,10 @@ def test_coverage_multiplicities_on_grid():
 
 
 def test_closed_form_against_enumeration():
-    for k, q, m in [(1, 3, 2), (1, 3, 3), (2, 3, 4), (1, 4, 2), (3, 4, 2), (0, 4, 4)]:
+    # the last four reach n = 2048, beyond the 200-vertex grid
+    cases = [(1, 3, 2), (1, 3, 3), (2, 3, 4), (1, 4, 2), (3, 4, 2), (0, 4, 4)]
+    cases += [(1, 4, 8), (1, 3, 20), (2, 4, 5), (1, 5, 4)]
+    for k, q, m in cases:
         h = build_function_graph(k, q, m)
         poly = clique_polynomial(h)
         for j in range(q + 1):
