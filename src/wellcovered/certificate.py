@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .enumeration import ChainCheck, check_ratio_chain
 from .errors import BudgetExceededError
@@ -225,7 +225,8 @@ def plan_at_m(
     components = []
     for j, bj in selected:
         copies = bj * denom_lcm * m ** (exponent - comb(q, j - 1))
-        assert copies.denominator == 1
+        if copies.denominator != 1:
+            raise AssertionError(f"copy count {copies} for j={j} is not an integer")
         components.append(PlanComponent(j - 1, m, int(copies)))
     predicted = tuple(
         sum(
@@ -240,6 +241,49 @@ def plan_at_m(
     )
 
 
+def _certification_test(
+    decomp: BDecomposition, eps: Fraction
+) -> Callable[[int], bool]:
+    """``m -> plan_at_m(target, m, eps).certified``, in integers only.
+
+    With the integer weights w_j = b_j * L (L the lcm of the nonzero b_j's
+    denominators), e_j = C(q-t, j-1-t) and e = max e_j over the nonzero
+    b_j with j > t, the test dev_t(m) < eps of ``build_plan`` reads
+
+        C(q,t) * eps.den * sum_{j>t} w_j * m^(e - e_j) < eps.num * L * m^e.
+
+    An index with no nonzero b_j above it has dev_t = 0 and imposes
+    nothing.
+    """
+    q = decomp.q
+    selected = [(j, bj) for j, bj in enumerate(decomp.b, start=1) if bj > 0]
+    denom_lcm = lcm(*(bj.denominator for _, bj in selected))
+    rhs = eps.numerator * denom_lcm
+    rows = []  # (C(q,t) * eps.den, [(w_j, e - e_j), ...], e) per constrained t
+    for t in range(1, q + 1):
+        terms = [
+            (bj.numerator * (denom_lcm // bj.denominator), comb(q - t, j - 1 - t))
+            for j, bj in selected
+            if j > t
+        ]
+        if terms:
+            top = max(e for _, e in terms)
+            rows.append(
+                (comb(q, t) * eps.denominator, [(w, top - e) for w, e in terms], top)
+            )
+    exponents = {top for *_, top in rows}
+    exponents.update(d for _, terms, _ in rows for _, d in terms)
+
+    def certified(m: int) -> bool:
+        power = {d: m**d for d in exponents}
+        return all(
+            lhs * sum(w * power[d] for w, d in terms) < rhs * power[top]
+            for lhs, terms, top in rows
+        )
+
+    return certified
+
+
 def build_plan(
     target: TargetSequence,
     epsilon: RationalLike,
@@ -249,46 +293,48 @@ def build_plan(
     """Certified plan at the smallest workable m.
 
     Starts from the smallest m with 2^q/m < epsilon, doubles m (the
-    last step probes ``m_cap`` itself) until the exact deviations all
-    beat epsilon, then bisects back to the smallest passing m (deviations
-    are monotone non-increasing in m).  Raises BudgetExceededError when
-    no m <= ``m_cap`` is certified.
+    last step probes ``m_cap`` itself) until the plan is certified, then
+    bisects back to the smallest certified m.  Each probe is an integer
+    inequality per index: the deviation at index t is
+
+        dev_t(m) = C(q,t) * sum_{j>t} b_j / m^C(q-t, j-1-t),
+
+    a sum of non-negative terms b_j / m^e with e >= 1, so it never
+    increases as m grows (and strictly falls while some b_j > 0 sits
+    above t), which is what the bisection needs.  ``plan_at_m`` runs once,
+    at the m found; the reported plan and its deviations come from its
+    exact predicted counts through ``verify_certificate``, and a plan that
+    route does not certify is an internal invariant failure
+    (AssertionError).  Raises BudgetExceededError when no m <= ``m_cap``
+    is certified.
     """
     eps = _as_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    check = check_binomial_chain(target)
-    if not check.holds:
-        raise ValueError(
-            f"binomial-ratio chain violated at index {check.first_violation}"
-        )
+    certified = _certification_test(b_decomposition(target), eps)
     m = choose_m(target.q, eps)
     if m > m_cap:
         raise BudgetExceededError(f"initial m={m} already exceeds cap {m_cap}")
-    plan = plan_at_m(target, m, eps)
-    if plan.certified:
-        return plan
-    # double until certified, then bisect down to the smallest passing m
-    low = m  # largest known failing m
-    high = m
-    while True:
+    low, high = m - 1, m  # low: the largest m known to fail
+    while not certified(high):
         if high == m_cap:
             raise BudgetExceededError(
                 f"no certified plan with m <= cap {m_cap} (epsilon {exact_str(eps)})"
             )
-        high = min(2 * high, m_cap)
-        plan = plan_at_m(target, high, eps)
-        if plan.certified:
-            break
-        low = high
-    lo, hi = low + 1, high
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if plan_at_m(target, mid, eps).certified:
-            hi = mid
+        low, high = high, min(2 * high, m_cap)
+    while high - low > 1:  # bisect down to the smallest passing m
+        mid = (low + high + 1) // 2
+        if certified(mid):
+            high = mid
         else:
-            lo = mid + 1
-    return plan_at_m(target, lo, eps)
+            low = mid
+    plan = plan_at_m(target, high, eps)
+    if not plan.certified:
+        raise AssertionError(
+            f"integer probe certified m={high} but the plan's deviations do not "
+            f"beat epsilon {exact_str(eps)}"
+        )
+    return plan
 
 
 def materialize(

@@ -107,7 +107,10 @@ def target_from_permutation(p: TailPermutation) -> TargetSequence:
     tail = [Fraction((1 << q) + p.pi(t)) for t in p.domain]
     target = TargetSequence(q, tuple(head + tail))
     check = check_binomial_chain(target)
-    assert check.holds, f"generated target violates the chain at {check.first_violation}"
+    if not check.holds:
+        raise AssertionError(
+            f"generated target violates the chain at {check.first_violation}"
+        )
     return target
 
 

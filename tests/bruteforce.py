@@ -2,14 +2,14 @@
 
 Everything here enumerates subsets with itertools and checks pairwise
 adjacency directly, independent of the bitset algorithms under test; the
-graph6 codec here walks the bit string one bit and one sextet at a time.
-Keep these slow and obvious.
+graph6 codec here walks the bit string one bit and one sextet at a time,
+and the plan search tries every m in turn.  Keep these slow and obvious.
 """
 
 from itertools import combinations
 from random import Random
 
-from wellcovered import Graph, Polynomial
+from wellcovered import Graph, Polynomial, choose_m, plan_at_m
 
 
 def random_graph(rng: Random, n: int, p: float = 0.5) -> Graph:
@@ -55,6 +55,15 @@ def independence_polynomial_bruteforce(g: Graph) -> Polynomial:
             independent[mask] = 1
             counts[mask.bit_count()] += 1
     return Polynomial(counts)
+
+
+def smallest_certified_m(target, eps, m_cap: int):
+    """Smallest m <= m_cap whose plan is certified, scanning every m upward
+    from ``choose_m``; None when there is none."""
+    for m in range(choose_m(target.q, eps), m_cap + 1):
+        if plan_at_m(target, m, eps).certified:
+            return m
+    return None
 
 
 def maximal_independent_sets(g: Graph) -> set:

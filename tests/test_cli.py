@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
+import wellcovered.certificate
 import wellcovered.cli
 import wellcovered.tailorder
 from wellcovered import (
@@ -56,21 +60,20 @@ def test_construct_to_file_with_sidecar(tmp_path, capsys):
     assert labels[0] == [1, [1, 1]]
 
 
-def test_console_script_entrypoint(tmp_path):
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    # run the copy of the package under test, installed or not
+def child_env():
+    """Environment for a child interpreter that imports the copy of the
+    package under test, installed or not."""
     src = str(Path(wellcovered.cli.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_script_entrypoint(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "wellcovered.cli", "construct", "-k", "0", "-q", "2", "-m", "1"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
     )
     assert result.returncode == 0
     assert from_graph6(result.stdout.strip()) == complete(2)
@@ -205,6 +208,76 @@ def test_realize_mcap_probes_the_cap(capsys):
     code, _, err = run(capsys, "realize", "-q", "3", "--pi", "3,2", "--mcap", "57")
     assert code == 2
     assert "cap 57" in err
+
+
+def test_realize_builds_one_plan(capsys, monkeypatch):
+    # the search probes m = 25, 50, 100, 75, ..., 58 without building a plan
+    built = []
+    real = wellcovered.certificate.plan_at_m
+
+    def spy(target, m, eps):
+        built.append(m)
+        return real(target, m, eps)
+
+    monkeypatch.setattr(wellcovered.certificate, "plan_at_m", spy)
+    code, out, _ = run(capsys, "realize", "-q", "3", "--pi", "3,2")
+    assert code == 0
+    assert built == [58]
+
+
+def test_realize_uncertified_plan_is_internal_failure(capsys, monkeypatch):
+    real = wellcovered.certificate.plan_at_m
+    monkeypatch.setattr(
+        wellcovered.certificate, "plan_at_m", lambda target, m, eps: real(target, 1, eps)
+    )
+    code, out, err = run(capsys, "realize", "-q", "3", "--pi", "3,2")
+    assert code == 1
+    assert out == ""
+    assert "internal invariant failure" in err
+
+
+# each case breaks one internal invariant of the realize path from outside
+# and names the message its check raises
+BROKEN_INVARIANTS = {
+    "final plan": (
+        "import wellcovered.certificate as c\n"
+        "real = c.plan_at_m\n"
+        "c.plan_at_m = lambda target, m, eps: real(target, 1, eps)\n",
+        "do not beat epsilon",
+    ),
+    "integer copies": (
+        "import wellcovered.certificate as c\n"
+        "c.lcm = lambda *denominators: 1\n",
+        "is not an integer",
+    ),
+    "target chain": (
+        "import wellcovered.tailorder as t\n"
+        "from wellcovered.enumeration import ChainCheck\n"
+        "t.check_binomial_chain = lambda target: ChainCheck(False, 2)\n",
+        "violates the chain at 2",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_INVARIANTS))
+def test_realize_invariants_hold_under_optimize(case):
+    # python -O strips assert statements; these checks must still exit 1
+    patch, message = BROKEN_INVARIANTS[case]
+    script = patch + (
+        "import sys\n"
+        "from wellcovered.cli import main\n"
+        "sys.exit(main(['realize', '-q', '3', '--pi', '3,2']))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+    )
+    assert result.returncode == 1, result.stderr
+    assert result.stdout == ""
+    assert "internal invariant failure" in result.stderr
+    assert message in result.stderr
 
 
 def test_realize_q4_symbolic(capsys):

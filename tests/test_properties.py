@@ -2,16 +2,23 @@
 random nested joins and disjoint unions of small graphs.  Such graphs keep
 ``independence_polynomial`` splitting into components and co-components
 at every depth; the references are the subset-enumeration oracles.  Also
-the graph6 round trip against the bit-at-a-time codec."""
+the graph6 round trip against the bit-at-a-time codec, and the plan
+search against a scan of every m."""
 
+from fractions import Fraction
+from math import comb
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wellcovered import (
+    BudgetExceededError,
     Graph,
     Polynomial,
+    TargetSequence,
+    build_plan,
     clique_polynomial,
     from_graph6,
     independence_polynomial,
@@ -20,7 +27,11 @@ from wellcovered import (
 )
 
 import bruteforce
-from bruteforce import independence_polynomial_bruteforce, to_graph6_bitwise
+from bruteforce import (
+    independence_polynomial_bruteforce,
+    smallest_certified_m,
+    to_graph6_bitwise,
+)
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -81,3 +92,35 @@ def test_graph6_roundtrip(g):
     encoded = to_graph6(g)
     assert encoded == to_graph6_bitwise(g)
     assert from_graph6(encoded) == g
+
+
+@st.composite
+def chain_targets(draw) -> TargetSequence:
+    """a_t = C(q,t) * (b_1 + ... + b_t) for q <= 6 and b_j >= 0, some of
+    them zero or fractional, not all zero: exactly the targets that satisfy
+    the binomial-ratio chain."""
+    q = draw(st.integers(1, 6))
+    increment = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(1, 40), st.integers(1, 6)),
+    )
+    b = draw(st.lists(increment, min_size=q, max_size=q).filter(any))
+    return TargetSequence.of(q, [comb(q, t) * sum(b[:t]) for t in range(1, q + 1)])
+
+
+# With these ranges about a third of the drawn cases search past the
+# first m, a third stop at it and a third find no certified m <= cap.
+@settings(max_examples=100, deadline=None)
+@given(
+    chain_targets(),
+    st.builds(Fraction, st.integers(1, 20), st.integers(1, 4)),
+    st.integers(1, 400),
+)
+def test_build_plan_finds_the_smallest_certified_m(target, eps, m_cap):
+    expected = smallest_certified_m(target, eps, m_cap)
+    if expected is None:
+        with pytest.raises(BudgetExceededError):
+            build_plan(target, eps, m_cap=m_cap)
+    else:
+        plan = build_plan(target, eps, m_cap=m_cap)
+        assert plan.m == expected and plan.certified

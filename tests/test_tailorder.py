@@ -127,12 +127,25 @@ def test_realize_q2_materialized():
         assert "graph6" in report.to_json()
 
 
+# (smallest, largest) plan m over all tail permutations of each q
+PLAN_M_RANGE = {
+    2: (13, 22),
+    3: (58, 70),
+    4: (157, 187),
+    5: (415, 451),
+    6: (997, 1060),
+    7: (2368, 2440),
+}
+
+
 def test_realize_all_small_tails_symbolic():
-    for q in (1, 2, 3, 4, 5, 6):
+    for q in (1, 2, 3, 4, 5, 6, 7):
+        ms = []
         for images in permutations(tail_indices(q)):
             p = TailPermutation.from_image_list(q, images)
             report = realize(p, vertex_budget=1)
             assert report.ordering_verified, (q, images)
+            ms.append(report.plan.m)
             # deviations stayed under a third of the minimal gap, so the
             # exact counts must repeat the target order; spot-check the
             # implication by re-verifying the certificate
@@ -140,6 +153,8 @@ def test_realize_all_small_tails_symbolic():
                 report.plan.predicted, report.plan.scale, report.target, report.epsilon
             )
             assert check.ok
+        if q in PLAN_M_RANGE:
+            assert (min(ms), max(ms)) == PLAN_M_RANGE[q], q
 
 
 def test_ordering_semantics_match_rank_reading():
