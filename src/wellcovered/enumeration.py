@@ -10,12 +10,14 @@ big integers instead of going through floats.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations
 from math import comb, prod
 from numbers import Rational
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional
 
-from .graph import Graph, _bits, complement
+from .graph import Graph, complement
 from .polynomial import Polynomial
 
 # -- maximal clique / independent set enumeration ----------------------
@@ -27,65 +29,102 @@ def _components(mask: int, rows) -> list[int]:
     comps = []
     remaining = mask
     while remaining:
-        seed = remaining & -remaining
         comp = 0
-        frontier = seed
+        frontier = remaining & -remaining
         while frontier:
             comp |= frontier
             nxt = 0
-            for u in _bits(frontier):
-                nxt |= rows[u]
+            while frontier:
+                low = frontier & -frontier
+                nxt |= rows[low.bit_length() - 1]
+                frontier ^= low
             frontier = nxt & mask & ~comp
         comps.append(comp)
         remaining &= ~comp
     return comps
 
 
-def _bron_kerbosch(rows, clique: list[int], p: int, x: int) -> Iterator[tuple[int, ...]]:
-    """Pivoting Bron-Kerbosch; yields maximal cliques in insertion order.
+def _bron_kerbosch(rows, p: int) -> Iterator[tuple[int, ...]]:
+    """Pivoting Bron-Kerbosch on an explicit stack; yields the maximal
+    cliques inside the vertex set p as sorted tuples.
 
     Pivot: the vertex of P|X maximizing |P & N(u)|, ties to the lowest
-    index, which keeps the enumeration order deterministic.
+    index; the candidates P - N(pivot) are taken in ascending order.
+    This fixes the enumeration order.  Each frame is [P, X, candidates
+    left]; the clique of frame i is ``clique[:i]``.
     """
-    if p == 0 and x == 0:
-        yield tuple(clique)
-        return
-    pivot = -1
-    best = -1
-    for u in _bits(p | x):
-        d = (p & rows[u]).bit_count()
-        if d > best:
-            best = d
-            pivot = u
-    for v in _bits(p & ~rows[pivot]):
-        bv = 1 << v
+    clique: list[int] = []
+    stack: list[list[int]] = []
+    x = 0
+    while True:
+        if p:
+            pivot = -1
+            best = -1
+            scan = p | x
+            while scan:
+                low = scan & -scan
+                u = low.bit_length() - 1
+                d = (p & rows[u]).bit_count()
+                if d > best:
+                    best = d
+                    pivot = u
+                scan ^= low
+            stack.append([p, x, p & ~rows[pivot]])
+        elif not x:
+            yield tuple(sorted(clique))
+        # otherwise P is empty and X is not: the clique is not maximal
+        while stack and not stack[-1][2]:
+            stack.pop()
+        if not stack:
+            return
+        frame = stack[-1]
+        p, x, cand = frame
+        low = cand & -cand
+        v = low.bit_length() - 1
+        frame[0] = p ^ low
+        frame[1] = x | low
+        frame[2] = cand ^ low
+        del clique[len(stack) - 1 :]
         clique.append(v)
-        yield from _bron_kerbosch(rows, clique, p & rows[v], x & rows[v])
-        clique.pop()
-        p &= ~bv
-        x |= bv
+        p &= rows[v]
+        x &= rows[v]
 
 
 def maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
     """Enumerate every maximal clique exactly once, as sorted vertex tuples.
 
     The graph is split into connected components first (a maximal clique
-    never spans components), and each component is relabeled to a compact
-    bit range so the inner recursion works on short masks.
+    never spans components).  When there is more than one, each is
+    relabeled to a compact bit range so that the explicit-stack
+    Bron-Kerbosch works on short masks.
     """
     if g.n == 0:
         yield ()
         return
-    full = (1 << g.n) - 1
-    for comp in _components(full, g.rows):
-        verts = list(_bits(comp))
+    rows = g.rows
+    comps = _components((1 << g.n) - 1, rows)
+    if len(comps) == 1:
+        yield from _bron_kerbosch(rows, comps[0])
+        return
+    for comp in comps:
+        verts = []
+        rest = comp
+        while rest:
+            low = rest & -rest
+            verts.append(low.bit_length() - 1)
+            rest ^= low
         local_index = {v: i for i, v in enumerate(verts)}
-        local_rows = [0] * len(verts)
-        for i, v in enumerate(verts):
-            for w in _bits(g.rows[v] & comp):
-                local_rows[i] |= 1 << local_index[w]
-        for cl in _bron_kerbosch(local_rows, [], (1 << len(verts)) - 1, 0):
-            yield tuple(sorted(verts[i] for i in cl))
+        local_rows = []
+        for v in verts:
+            row = 0
+            rest = rows[v]
+            while rest:
+                low = rest & -rest
+                row |= 1 << local_index[low.bit_length() - 1]
+                rest ^= low
+            local_rows.append(row)
+        for cl in _bron_kerbosch(local_rows, (1 << len(verts)) - 1):
+            yield tuple(verts[i] for i in cl)
 
 
 def maximal_independent_sets(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -95,30 +134,43 @@ def maximal_independent_sets(g: Graph) -> Iterator[tuple[int, ...]]:
 
 
 def cliques_of_size(g: Graph, j: int) -> Iterator[tuple[int, ...]]:
-    """All cliques of size exactly j, by depth-first extension over the
-    ordered vertex list; yields sorted tuples."""
+    """All cliques of size exactly j in lexicographic order, by depth-first
+    extension over the ordered vertex list on an explicit stack; yields
+    sorted tuples."""
     if j < 0:
         raise ValueError("clique size must be non-negative")
     if j == 0:
         yield ()
         return
     rows = g.rows
-    full = (1 << g.n) - 1
-
-    def extend(cur: list[int], cand: int) -> Iterator[tuple[int, ...]]:
-        if len(cur) == j:
+    cur: list[int] = []
+    # stack[d]: candidates left at depth d, all above cur[d - 1]
+    stack = [(1 << g.n) - 1]
+    while stack:
+        d = len(stack) - 1
+        cand = stack[d]
+        if not cand:
+            stack.pop()
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        stack[d] = rest = cand ^ low
+        del cur[d:]
+        cur.append(v)
+        if d + 1 == j:
             yield tuple(cur)
-            return
-        for v in _bits(cand):
-            cur.append(v)
-            # candidates stay above v to emit each clique once
-            yield from extend(cur, cand & rows[v] & (full << (v + 1)))
-            cur.pop()
-
-    yield from extend([], full)
+        else:
+            stack.append(rest & rows[v])
 
 
 # -- independence polynomial -------------------------------------------
+
+# Masks one independence_polynomial call memoizes.  The complements of
+# function graphs up to 864 vertices and the q = 2 certificates need at
+# most about 3100.  Past the cap a node is solved without being stored,
+# so an input whose search does not finish takes time but not ever more
+# memory.
+_MEMO_ENTRIES = 1 << 14
 
 
 def independence_polynomial(g: Graph) -> Polynomial:
@@ -127,9 +179,10 @@ def independence_polynomial(g: Graph) -> Polynomial:
     Each node first tries two value-preserving decompositions that keep
     join-heavy product graphs tractable: disjoint unions multiply, and
     joins (detected as disconnected complements) add coefficientwise
-    above degree zero.  A node that is connected and co-connected
-    branches by one of two rules, picked by its own edge count (s
-    vertices, degree sum D):
+    above degree zero.  Singleton components of a disjoint union fold
+    into one ``(1 + x)^s`` factor.  A node that is connected and
+    co-connected branches by one of two rules, picked by its own edge
+    count (s vertices, degree sum D):
 
     - sparse (``2 * D <= s * (s - 1)``, no more edges than non-edges):
       ``I(G) = I(G - v) + x * I(G - N[v])`` on the maximum-degree pivot
@@ -139,61 +192,80 @@ def independence_polynomial(g: Graph) -> Polynomial:
       later(v) are the vertices after v.  Each term is a non-neighbourhood
       of a dense graph, so it is small, and it goes back through both
       decompositions.
+
+    Each induced subgraph is solved once per call: a dict local to the
+    call memoizes the coefficient tuple of each vertex mask, up to
+    ``_MEMO_ENTRIES`` masks.
     """
     rows = g.rows
     n = g.n
     if n == 0:
         return Polynomial([1])
     corows = complement(g).rows
+    memo: dict[int, tuple[int, ...]] = {}
 
-    def solve(mask: int) -> Sequence[int]:
+    def solve(mask: int) -> tuple[int, ...]:
         size = mask.bit_count()
         if size == 0:
-            return [1]
+            return (1,)
         if size == 1:
-            return [1, 1]
+            return (1, 1)
+        out = memo.get(mask)
+        if out is not None:
+            return out
         comps = _components(mask, rows)
+        cocomps = _components(mask, corows) if len(comps) == 1 else []
         if len(comps) > 1:
-            factors = (Polynomial(solve(c)) for c in comps)
-            return prod(factors, start=Polynomial([1])).coeffs
-        cocomps = _components(mask, corows)
-        if len(cocomps) > 1:
+            big = [c for c in comps if c & (c - 1)]
+            singles = len(comps) - len(big)
+            factor = Polynomial([comb(singles, t) for t in range(singles + 1)])
+            factors = (Polynomial(solve(c)) for c in big)
+            out = prod(factors, start=factor).coeffs
+        elif len(cocomps) > 1:
             parts = [solve(c) for c in cocomps]
-            out = [0] * max(len(p) for p in parts)
-            out[0] = 1
+            acc = [0] * max(len(p) for p in parts)
+            acc[0] = 1
             for part in parts:
                 for t in range(1, len(part)):
-                    out[t] += part[t]
-            return out
-        # connected and co-connected: the edge count picks the branching rule
-        pivot = -1
-        best = -1
-        degree_sum = 0
-        for u in _bits(mask):
-            d = (rows[u] & mask).bit_count()
-            degree_sum += d
-            if d > best:
-                best = d
-                pivot = u
-        if 2 * degree_sum > size * (size - 1):
-            # more edges than non-edges: expand on the first vertex
-            out = [1, 0]
+                    acc[t] += part[t]
+            out = tuple(acc)
+        else:
+            # connected and co-connected: the edge count picks the rule
+            pivot = -1
+            best = -1
+            degree_sum = 0
             rest = mask
-            for v in _bits(mask):
-                rest &= ~(1 << v)
-                for t, c in enumerate(solve(rest & corows[v])):
-                    if t + 1 < len(out):
-                        out[t + 1] += c
-                    else:
-                        out.append(c)
-            return out
-        without = solve(mask & ~(1 << pivot))
-        with_pivot = solve(mask & ~(rows[pivot] | (1 << pivot)))
-        out = list(without)
-        if len(out) < len(with_pivot) + 1:
-            out.extend([0] * (len(with_pivot) + 1 - len(out)))
-        for t, c in enumerate(with_pivot):
-            out[t + 1] += c
+            while rest:
+                low = rest & -rest
+                u = low.bit_length() - 1
+                d = (rows[u] & mask).bit_count()
+                degree_sum += d
+                if d > best:
+                    best = d
+                    pivot = u
+                rest ^= low
+            if 2 * degree_sum > size * (size - 1):
+                # more edges than non-edges: expand on the first vertex
+                acc = [1, 0]
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    for t, c in enumerate(solve(rest & corows[low.bit_length() - 1])):
+                        if t + 1 < len(acc):
+                            acc[t + 1] += c
+                        else:
+                            acc.append(c)
+            else:
+                acc = list(solve(mask & ~(1 << pivot)))
+                with_pivot = solve(mask & ~(rows[pivot] | (1 << pivot)))
+                if len(acc) < len(with_pivot) + 1:
+                    acc.extend([0] * (len(with_pivot) + 1 - len(acc)))
+                for t, c in enumerate(with_pivot):
+                    acc[t + 1] += c
+            out = tuple(acc)
+        if len(memo) < _MEMO_ENTRIES:
+            memo[mask] = out
         return out
 
     limit = sys.getrecursionlimit()
@@ -203,6 +275,9 @@ def independence_polynomial(g: Graph) -> Polynomial:
         coeffs = solve((1 << n) - 1)
     finally:
         sys.setrecursionlimit(limit)
+        # solve holds itself through its closure; breaking that cycle frees
+        # the memo and the complement's rows now, not at the next collection
+        del solve
     return Polynomial(coeffs)
 
 
@@ -243,7 +318,8 @@ def is_well_covered(g: Graph) -> WellCoveredReport:
             smallest = s
         if largest is None or len(s) > len(largest):
             largest = s
-    assert smallest is not None and largest is not None
+    if smallest is None or largest is None:
+        raise AssertionError("maximal_independent_sets yielded no set")
     if len(smallest) == len(largest):
         return WellCoveredReport(True, len(largest), None)
     return WellCoveredReport(False, len(largest), (smallest, largest))
@@ -286,8 +362,18 @@ class CliqueExtensionReport:
 
 def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionReport:
     """Exhaustively verify the clique extension property with parameters
-    (k, q, m).  No sampling: every relevant clique is enumerated and its
-    containing maximal cliques counted by candidate-set intersection."""
+    (k, q, m), reading every condition off the maximal cliques.  No
+    sampling.
+
+    Every clique lies in some maximal clique C.  A (k+1)-clique S inside
+    C lies in a second maximal clique iff some common neighbour of S is
+    outside C, so condition 2 checks the common neighbourhood of each
+    (k+1)-subset of each maximal clique.  The number of maximal cliques
+    containing a k-clique is the number of times it occurs as a k-subset
+    of one, so condition 3 counts those subsets.  Condition 1 reports the
+    first wrong-sized maximal clique in enumeration order; conditions 2
+    and 3 report the lexicographically smallest offending clique.
+    """
     if not 0 <= k < q:
         raise ValueError(f"need 0 <= k < q, got k={k}, q={q}")
     if m < 1:
@@ -300,31 +386,34 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
             violations.append((1, cl))
             break
 
-    # membership[v] has bit c set iff maximal clique c contains v
-    membership = [0] * g.n
-    for ci, cl in enumerate(cliques):
+    rows = g.rows
+    witness: Optional[tuple[int, ...]] = None
+    for cl in cliques:
+        outside = -1
         for v in cl:
-            membership[v] |= 1 << ci
-
-    def containing(cl: tuple[int, ...]) -> int:
-        count_mask = (1 << len(cliques)) - 1
-        for v in cl:
-            count_mask &= membership[v]
-        return count_mask.bit_count()
-
-    for cl in cliques_of_size(g, k + 1):
-        if containing(cl) != 1:
-            violations.append((2, cl))
-            break
+            outside ^= 1 << v
+        # subsets come in lexicographic order: stop at the first offender,
+        # or once past the smallest offender found so far
+        for s in combinations(cl, k + 1):
+            if witness is not None and s >= witness:
+                break
+            common = outside
+            for v in s:
+                common &= rows[v]
+            if common:
+                witness = s
+                break
+    if witness is not None:
+        violations.append((2, witness))
 
     if k == 0:
         if len(cliques) < m:
             violations.append((3, ()))
-    else:
-        for cl in cliques_of_size(g, k):
-            if containing(cl) < m:
-                violations.append((3, cl))
-                break
+    elif m > 1:  # at m = 1 it holds: every clique lies in a maximal one
+        counts = Counter(chain.from_iterable(combinations(cl, k) for cl in cliques))
+        short = [s for s, c in counts.items() if c < m]
+        if short:
+            violations.append((3, min(short)))
 
     return CliqueExtensionReport(not violations, k, q, m, tuple(violations))
 

@@ -4,12 +4,19 @@ Everything here enumerates subsets with itertools and checks pairwise
 adjacency directly, independent of the bitset algorithms under test; the
 graph6 codec here walks the bit string one bit and one sextet at a time,
 and the plan search tries every m in turn.  Keep these slow and obvious.
+
+The exceptions are the order references: a recursive Bron-Kerbosch that
+fixes the order in which maximal cliques are enumerated, and a clique
+extension check that counts the maximal cliques containing each clique
+with membership bitmasks.  The library routines must match them exactly,
+witnesses included.
 """
 
 from itertools import combinations
 from random import Random
 
 from wellcovered import Graph, Polynomial, choose_m, plan_at_m
+from wellcovered.enumeration import CliqueExtensionReport
 
 
 def random_graph(rng: Random, n: int, p: float = 0.5) -> Graph:
@@ -97,6 +104,91 @@ def maximal_cliques(g: Graph) -> set:
 
 def cliques_of_size(g: Graph, j: int) -> set:
     return {s for s in combinations(range(g.n), j) if is_clique(g, s)}
+
+
+def _bron_kerbosch_recursive(rows, clique, p, x):
+    """Pivoting Bron-Kerbosch by recursion, pivot maximizing |P & N(u)|
+    over P|X with ties to the lowest index, candidates ascending."""
+    if p == 0 and x == 0:
+        yield tuple(clique)
+        return
+    pivot = max(
+        (u for u in range(len(rows)) if (p | x) >> u & 1),
+        key=lambda u: ((p & rows[u]).bit_count(), -u),
+    )
+    for v in range(len(rows)):
+        if not (p & ~rows[pivot]) >> v & 1:
+            continue
+        clique.append(v)
+        yield from _bron_kerbosch_recursive(rows, clique, p & rows[v], x & rows[v])
+        clique.pop()
+        p &= ~(1 << v)
+        x |= 1 << v
+
+
+def maximal_cliques_in_order(g: Graph) -> list:
+    """Maximal cliques in the library's enumeration order: components by
+    smallest vertex, each relabeled compactly and run through the
+    recursive Bron-Kerbosch."""
+    if g.n == 0:
+        return [()]
+    out = []
+    seen = set()
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp, frontier = {start}, [start]
+        while frontier:
+            u = frontier.pop()
+            for w in g.neighbors(u):
+                if w not in comp:
+                    comp.add(w)
+                    frontier.append(w)
+        seen |= comp
+        verts = sorted(comp)
+        local_rows = [
+            sum(1 << i for i, w in enumerate(verts) if g.has_edge(v, w)) for v in verts
+        ]
+        for cl in _bron_kerbosch_recursive(local_rows, [], (1 << len(verts)) - 1, 0):
+            out.append(tuple(sorted(verts[i] for i in cl)))
+    return out
+
+
+def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionReport:
+    """Clique extension check by membership bitmasks: bit c of
+    membership[v] is set iff maximal clique c contains v.  Walks the
+    (k+1)- and k-cliques in lexicographic order and reports the first
+    offender of each condition."""
+    cliques = maximal_cliques_in_order(g)
+    violations = []
+    for cl in cliques:
+        if len(cl) != q:
+            violations.append((1, cl))
+            break
+    membership = [0] * g.n
+    for ci, cl in enumerate(cliques):
+        for v in cl:
+            membership[v] |= 1 << ci
+
+    def containing(cl) -> int:
+        mask = (1 << len(cliques)) - 1
+        for v in cl:
+            mask &= membership[v]
+        return mask.bit_count()
+
+    for cl in sorted(cliques_of_size(g, k + 1)):
+        if containing(cl) != 1:
+            violations.append((2, cl))
+            break
+    if k == 0:
+        if len(cliques) < m:
+            violations.append((3, ()))
+    else:
+        for cl in sorted(cliques_of_size(g, k)):
+            if containing(cl) < m:
+                violations.append((3, cl))
+                break
+    return CliqueExtensionReport(not violations, k, q, m, tuple(violations))
 
 
 def graph6_header(n: int) -> bytes:

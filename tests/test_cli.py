@@ -144,6 +144,27 @@ def test_check_mt_holds(tmp_path, capsys):
     assert json.loads(out) == {"holds": True, "first_violation": None}
 
 
+@pytest.mark.parametrize(
+    "g, argv, expected",
+    [
+        # the complement K_1200 has one maximal clique, 1200 vertices deep
+        (Graph(1200, [0] * 1200), ["--mode", "wellcovered"],
+         {"is_well_covered": True, "alpha": 1200, "witness": None}),
+        (Graph(1200, [0] * 1200), ["--mode", "mt"], {"holds": True, "first_violation": None}),
+        (complete(1200), ["--mode", "property-p", "-k", "1", "-q", "1200", "-m", "1"],
+         {"holds": True, "k": 1, "q": 1200, "m": 1, "violations": []}),
+    ],
+    ids=["wellcovered-edgeless", "mt-edgeless", "property-p-complete"],
+)
+def test_check_1200_vertex_clique(tmp_path, capsys, g, argv, expected):
+    limit = sys.getrecursionlimit()
+    path = write_graph(tmp_path, "g.g6", g)
+    code, out, _ = run(capsys, "check", path, *argv)
+    assert code == 0
+    assert json.loads(out) == expected
+    assert sys.getrecursionlimit() == limit
+
+
 def test_check_out_writes_file_not_stdout(tmp_path, capsys):
     path = write_graph(tmp_path, "c4.g6", Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     for fmt in ("json", "text"):

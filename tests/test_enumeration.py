@@ -3,6 +3,7 @@ from random import Random
 
 import pytest
 
+from wellcovered import enumeration
 from wellcovered import (
     Graph,
     Polynomial,
@@ -51,6 +52,16 @@ def test_polynomial_matches_bruteforce_oracle():
         fast = independence_polynomial(g)
         assert list(fast) == bruteforce.independence_counts(g)
         assert fast == independence_polynomial_bruteforce(g)
+
+
+@pytest.mark.parametrize("cap", [0, 3])
+def test_polynomial_past_memo_cap(monkeypatch, cap):
+    # past the cap nodes are solved without being stored: same answers
+    monkeypatch.setattr(enumeration, "_MEMO_ENTRIES", cap)
+    rng = Random(202)
+    for _ in range(30):
+        g = bruteforce.random_graph(rng, rng.randint(0, 12), p=rng.uniform(0.1, 0.9))
+        assert independence_polynomial(g) == independence_polynomial_bruteforce(g)
 
 
 def test_dense_node_keeps_decompositions():
@@ -161,7 +172,7 @@ def test_check_clique_extension_violations():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
     report = check_clique_extension(g, 1, 3, 1)
     assert not report.holds
-    assert any(c == 2 for c, _ in report.violations)
+    assert report.violations == ((2, (0, 1)),)
 
     # a lone edge among triangles breaks the size-q condition
     g2 = Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
@@ -173,6 +184,29 @@ def test_check_clique_extension_violations():
     report3 = check_clique_extension(complete(3), 0, 3, 2)
     assert not report3.holds
     assert report3.violations == ((3, ()),)
+
+
+def test_condition_3_witness_is_lexicographically_smallest():
+    # maximal cliques 014, 015, 034, 124, 234: the edges 05, 15, 03, 12,
+    # 23 and 34 lie in one each; 05 is met first, 03 is the smallest
+    g = Graph.from_edges(
+        6,
+        [(0, 1), (0, 3), (0, 4), (0, 5), (1, 2), (1, 4), (1, 5), (2, 3), (2, 4), (3, 4)],
+    )
+    assert list(maximal_cliques(g)) == [(0, 1, 4), (0, 1, 5), (0, 3, 4), (1, 2, 4), (2, 3, 4)]
+    report = check_clique_extension(g, 2, 3, 2)
+    assert report.violations == ((3, (0, 3)),)
+    assert report == bruteforce.check_clique_extension(g, 2, 3, 2)
+
+
+def test_condition_1_witness_is_first_in_enumeration_order():
+    # the edges 12, 14, 05 and 45 are maximal cliques of the wrong size;
+    # Bron-Kerbosch meets 12 first although 05 is the smallest
+    g = Graph.from_edges(6, [(0, 1), (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (4, 5)])
+    assert list(maximal_cliques(g)) == [(0, 1, 3), (1, 2), (1, 4), (0, 5), (4, 5)]
+    report = check_clique_extension(g, 1, 3, 1)
+    assert report.violations[0] == (1, (1, 2))
+    assert report == bruteforce.check_clique_extension(g, 1, 3, 1)
 
 
 def test_check_clique_extension_param_validation():

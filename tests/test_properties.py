@@ -2,8 +2,9 @@
 random nested joins and disjoint unions of small graphs.  Such graphs keep
 ``independence_polynomial`` splitting into components and co-components
 at every depth; the references are the subset-enumeration oracles.  Also
-the graph6 round trip against the bit-at-a-time codec, and the plan
-search against a scan of every m."""
+the graph6 round trip against the bit-at-a-time codec, the plan search
+against a scan of every m, and the enumeration order and clique extension
+witnesses against the recursive references on random graphs."""
 
 from fractions import Fraction
 from math import comb
@@ -19,10 +20,12 @@ from wellcovered import (
     Polynomial,
     TargetSequence,
     build_plan,
+    check_clique_extension,
     clique_polynomial,
     from_graph6,
     independence_polynomial,
     join,
+    maximal_cliques,
     to_graph6,
 )
 
@@ -92,6 +95,26 @@ def test_graph6_roundtrip(g):
     encoded = to_graph6(g)
     assert encoded == to_graph6_bitwise(g)
     assert from_graph6(encoded) == g
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs(14))
+def test_maximal_cliques_in_reference_order(g):
+    assert list(maximal_cliques(g)) == bruteforce.maximal_cliques_in_order(g)
+
+
+# Most random graphs fail some condition, so the witnesses get compared.
+@settings(max_examples=150, deadline=None)
+@given(random_graphs(14), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3))
+def test_clique_extension_matches_membership_reference(g, k, dq, m):
+    expected = bruteforce.check_clique_extension(g, k, k + dq, m).to_json()
+    assert check_clique_extension(g, k, k + dq, m).to_json() == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(random_graphs(14))
+def test_independence_polynomial_matches_subset_count(g):
+    assert independence_polynomial(g) == independence_polynomial_bruteforce(g)
 
 
 @st.composite
