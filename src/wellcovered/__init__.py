@@ -28,14 +28,11 @@ from .function_graph import (
     FunctionVertex,
     build_function_graph,
     clique_count_closed_form,
-    clique_of,
-    global_functions,
     vertex_count,
 )
-from .graph import Graph, complement, complete, disjoint_copies, join, kneser
+from .graph import Graph, complement, complete, disjoint_copies, join
 from .graph6 import Graph6Error, from_graph6, to_graph6
 from .polynomial import Polynomial
-from .subsets import KSubsetCodec
 from .tailorder import (
     TailPermutation,
     epsilon_from_target,
@@ -52,7 +49,6 @@ __all__ = [
     "FunctionVertex",
     "Graph",
     "Graph6Error",
-    "KSubsetCodec",
     "Polynomial",
     "TailPermutation",
     "TargetSequence",
@@ -64,7 +60,6 @@ __all__ = [
     "check_clique_extension",
     "choose_m",
     "clique_count_closed_form",
-    "clique_of",
     "clique_polynomial",
     "cliques_of_size",
     "complement",
@@ -72,11 +67,9 @@ __all__ = [
     "disjoint_copies",
     "epsilon_from_target",
     "from_graph6",
-    "global_functions",
     "independence_polynomial",
     "is_well_covered",
     "join",
-    "kneser",
     "materialize",
     "maximal_cliques",
     "maximal_independent_sets",

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 from .enumeration import ChainCheck, check_ratio_chain
 from .errors import BudgetExceededError
@@ -74,17 +74,12 @@ def check_binomial_chain(target: TargetSequence) -> ChainCheck:
 
 @dataclass(frozen=True)
 class BDecomposition:
-    """The increments b_t of the ratio chain: b_1 = a_1/C(q,1) and
-    b_t = a_t/C(q,t) - a_{t-1}/C(q,t-1); all non-negative when the chain
-    holds, and a_t = C(q,t) * sum_{s<=t} b_s reconstructs exactly."""
+    """The increments b_t of the target's ratio chain: b_1 = a_1/C(q,1)
+    and b_t = a_t/C(q,t) - a_{t-1}/C(q,t-1); all non-negative when the
+    chain holds, and a_t = C(q,t) * sum_{s<=t} b_s exactly."""
 
-    q: int
+    target: TargetSequence
     b: tuple[Fraction, ...]
-
-    def reconstruct(self, t: int) -> Fraction:
-        if not 1 <= t <= self.q:
-            raise ValueError(f"index {t} out of range 1..{self.q}")
-        return comb(self.q, t) * sum(self.b[:t], Fraction(0))
 
 
 def b_decomposition(target: TargetSequence) -> BDecomposition:
@@ -97,7 +92,7 @@ def b_decomposition(target: TargetSequence) -> BDecomposition:
     ratios = [target.a(t) / comb(q, t) for t in range(1, q + 1)]
     b = [ratios[0]]
     b.extend(ratios[t] - ratios[t - 1] for t in range(1, q))
-    return BDecomposition(q, tuple(b))
+    return BDecomposition(target, tuple(b))
 
 
 def choose_m(q: int, epsilon: RationalLike) -> int:
@@ -195,10 +190,11 @@ def verify_certificate(
 
 
 def plan_at_m(
-    target: TargetSequence, m: int, epsilon: RationalLike
+    decomp: BDecomposition, m: int, epsilon: RationalLike
 ) -> CertificatePlan:
-    """Build the symbolic plan for a fixed m, without enforcing that the
-    deviations beat epsilon (build_plan handles the retry loop).
+    """Build the symbolic plan for the decomposed target at a fixed m,
+    without enforcing that the deviations beat epsilon (build_plan finds
+    the m).
 
     One component per nonzero b_j: the complement of the (j-1, q, m)
     function graph carries scale_j = m^C(q,j-1), and clearing denominators
@@ -211,8 +207,8 @@ def plan_at_m(
     eps = _as_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
+    target = decomp.target
     q = target.q
-    decomp = b_decomposition(target)
     selected = [(j, bj) for j, bj in enumerate(decomp.b, start=1) if bj > 0]
     if not selected:
         raise ValueError(
@@ -244,7 +240,7 @@ def plan_at_m(
 def _certification_test(
     decomp: BDecomposition, eps: Fraction
 ) -> Callable[[int], bool]:
-    """``m -> plan_at_m(target, m, eps).certified``, in integers only.
+    """``m -> plan_at_m(decomp, m, eps).certified``, in integers only.
 
     With the integer weights w_j = b_j * L (L the lcm of the nonzero b_j's
     denominators), e_j = C(q-t, j-1-t) and e = max e_j over the nonzero
@@ -255,7 +251,7 @@ def _certification_test(
     An index with no nonzero b_j above it has dev_t = 0 and imposes
     nothing.
     """
-    q = decomp.q
+    q = decomp.target.q
     selected = [(j, bj) for j, bj in enumerate(decomp.b, start=1) if bj > 0]
     denom_lcm = lcm(*(bj.denominator for _, bj in selected))
     rhs = eps.numerator * denom_lcm
@@ -311,7 +307,8 @@ def build_plan(
     eps = _as_fraction(epsilon)
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    certified = _certification_test(b_decomposition(target), eps)
+    decomp = b_decomposition(target)
+    certified = _certification_test(decomp, eps)
     m = choose_m(target.q, eps)
     if m > m_cap:
         raise BudgetExceededError(f"initial m={m} already exceeds cap {m_cap}")
@@ -328,7 +325,7 @@ def build_plan(
             high = mid
         else:
             low = mid
-    plan = plan_at_m(target, high, eps)
+    plan = plan_at_m(decomp, high, eps)
     if not plan.certified:
         raise AssertionError(
             f"integer probe certified m={high} but the plan's deviations do not "

@@ -8,6 +8,7 @@ to stdout (big integers as decimal strings), diagnostics to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -38,6 +39,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # built on first use, then shared: parse_args leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="wellcovered", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -153,9 +155,14 @@ def _cmd_realize(args, parser: _Parser) -> int:
     except (ValueError, json.JSONDecodeError) as exc:
         parser.error(f"invalid --pi: {exc}")
     report = realize(perm, vertex_budget=args.budget, m_cap=args.mcap)
+    if args.out and report.graph is None:
+        raise BudgetExceededError(
+            f"--out needs the certificate materialized: plan needs "
+            f"{report.plan.vertex_total()} vertices, over budget {args.budget}"
+        )
     payload = report.to_json()
     _emit(payload, args.format)
-    if args.out and report.graph is not None:
+    if args.out:
         Path(args.out).write_bytes(payload["graph6"].encode("ascii") + b"\n")
     if not report.ordering_verified:
         print("internal failure: ordering not verified on exact counts",

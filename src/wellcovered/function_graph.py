@@ -17,12 +17,11 @@ number q.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
-from typing import Iterator
 
 from .errors import BudgetExceededError
 from .graph import Graph, complete, disjoint_copies
-from .subsets import KSubsetCodec
 
 DEFAULT_VERTEX_BUDGET = 200_000
 
@@ -48,14 +47,6 @@ def vertex_count(k: int, q: int, m: int) -> int:
     """Number of vertices: q * m^C(q-1, k)."""
     _validate_params(k, q, m)
     return q * m ** comb(q - 1, k)
-
-
-def _vector_rank(values: tuple[int, ...], m: int) -> int:
-    """Assignment vector read as a little-endian base-m number."""
-    r = 0
-    for p in range(len(values) - 1, -1, -1):
-        r = r * m + (values[p] - 1)
-    return r
 
 
 def _vectors(length: int, m: int) -> list[tuple[int, ...]]:
@@ -97,23 +88,22 @@ def build_function_graph(
     length = comb(q - 1, k)
     side = m**length
     vecs = _vectors(length, m)
-    codecs = {
-        i: KSubsetCodec([x for x in range(1, q + 1) if x != i], k)
-        for i in range(1, q + 1)
-    }
-    labels = [
-        FunctionVertex(i, vec) for i in range(1, q + 1) for vec in vecs
-    ]
+    ground = range(1, q + 1)
+    # position of each k-subset of {1..q}\{i} in side i's colex order
+    colex = {}
+    for i in ground:
+        side_subsets = combinations([x for x in ground if x != i], k)
+        ordered = sorted(side_subsets, key=lambda s: s[::-1])
+        colex[i] = {s: r for r, s in enumerate(ordered)}
+    labels = [FunctionVertex(i, vec) for i in ground for vec in vecs]
     rows = [0] * n
-    for i in range(1, q + 1):
+    for i in ground:
         off_i = (i - 1) * side
         for j in range(i + 1, q + 1):
             off_j = (j - 1) * side
-            shared = KSubsetCodec(
-                [x for x in range(1, q + 1) if x not in (i, j)], k
-            )
-            pos_i = [codecs[i].rank(a) for a in shared.subsets()]
-            pos_j = [codecs[j].rank(a) for a in shared.subsets()]
+            shared = list(combinations([x for x in ground if x not in (i, j)], k))
+            pos_i = [colex[i][a] for a in shared]
+            pos_j = [colex[j][a] for a in shared]
             # group each side by its projection onto the shared domain;
             # adjacency is exactly projection equality
             buckets: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
@@ -131,39 +121,6 @@ def build_function_graph(
                         rows[u] |= 1 << v
                         rows[v] |= 1 << u
     return Graph(n, rows, labels)
-
-
-def global_functions(k: int, q: int, m: int) -> Iterator[tuple[int, ...]]:
-    """All global assignments in rank order; there are m^C(q,k) of them.
-
-    A global assignment gives a value in 1..m to every k-subset of
-    {1..q}, in colex order.
-    """
-    _validate_params(k, q, m)
-    yield from _vectors(comb(q, k), m)
-
-
-def clique_of(fn: tuple[int, ...], k: int, q: int, m: int) -> tuple[int, ...]:
-    """Vertex indices (in the graph built by :func:`build_function_graph`)
-    of the q restrictions of a global assignment; always a q-clique."""
-    _validate_params(k, q, m)
-    if len(fn) != comb(q, k):
-        raise ValueError(
-            f"global function needs {comb(q, k)} values, got {len(fn)}"
-        )
-    if any(not 1 <= v <= m for v in fn):
-        raise ValueError("global function values must lie in 1..m")
-    if k == 0:
-        copy = fn[0] - 1
-        return tuple(copy * q + pos for pos in range(q))
-    side = m ** comb(q - 1, k)
-    full = KSubsetCodec(range(1, q + 1), k)
-    out = []
-    for i in range(1, q + 1):
-        restricted = KSubsetCodec([x for x in range(1, q + 1) if x != i], k)
-        vec = tuple(fn[full.rank(a)] for a in restricted.subsets())
-        out.append((i - 1) * side + _vector_rank(vec, m))
-    return tuple(out)
 
 
 def clique_count_closed_form(k: int, q: int, m: int, j: int) -> int:

@@ -12,7 +12,6 @@ affects equality or hashing.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator, Optional, Sequence
 
 
@@ -170,20 +169,3 @@ def join(parts: Sequence[Graph]) -> Graph:
         labels = tuple(lab for p in parts for lab in p.labels)
     return Graph(n, rows, labels)
 
-
-def kneser(n: int, k: int) -> Graph:
-    """Kneser graph: vertices are the k-subsets of {1..n}, edges join
-    disjoint subsets.  Labels carry the subsets."""
-    if k < 1 or k > n:
-        raise ValueError(f"kneser requires 1 <= k <= n, got n={n}, k={k}")
-    verts = list(combinations(range(1, n + 1), k))
-    sets = [frozenset(s) for s in verts]
-    m = len(verts)
-    rows = [0] * m
-    for i in range(m):
-        si = sets[i]
-        for j in range(i + 1, m):
-            if si.isdisjoint(sets[j]):
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(m, rows, verts)

@@ -3,7 +3,9 @@
 Everything here enumerates subsets with itertools and checks pairwise
 adjacency directly, independent of the bitset algorithms under test; the
 graph6 codec here walks the bit string one bit and one sextet at a time,
-and the plan search tries every m in turn.  Keep these slow and obvious.
+the plan search tries every m in turn, and function-graph vertices are
+located through the combinatorial number system rather than the
+library's sorted colex index.  Keep these slow and obvious.
 
 The exceptions are the order references: a recursive Bron-Kerbosch that
 fixes the order in which maximal cliques are enumerated, and a clique
@@ -12,10 +14,11 @@ with membership bitmasks.  The library routines must match them exactly,
 witnesses included.
 """
 
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 from random import Random
 
-from wellcovered import Graph, Polynomial, choose_m, plan_at_m
+from wellcovered import Graph, Polynomial, b_decomposition, choose_m, plan_at_m
 from wellcovered.enumeration import CliqueExtensionReport
 
 
@@ -67,10 +70,67 @@ def independence_polynomial_bruteforce(g: Graph) -> Polynomial:
 def smallest_certified_m(target, eps, m_cap: int):
     """Smallest m <= m_cap whose plan is certified, scanning every m upward
     from ``choose_m``; None when there is none."""
+    decomp = b_decomposition(target)
     for m in range(choose_m(target.q, eps), m_cap + 1):
-        if plan_at_m(target, m, eps).certified:
+        if plan_at_m(decomp, m, eps).certified:
             return m
     return None
+
+
+def kneser(n: int, k: int) -> Graph:
+    """Kneser graph: vertices are the k-subsets of {1..n} in lexicographic
+    order, edges join disjoint subsets.  Labels carry the subsets."""
+    if k < 1 or k > n:
+        raise ValueError(f"kneser requires 1 <= k <= n, got n={n}, k={k}")
+    verts = list(combinations(range(1, n + 1), k))
+    edges = [
+        (u, v)
+        for u, v in combinations(range(len(verts)), 2)
+        if not set(verts[u]) & set(verts[v])
+    ]
+    return Graph.from_edges(len(verts), edges, verts)
+
+
+# -- function graphs ----------------------------------------------------------
+
+
+def colex_rank(subset, ground) -> int:
+    """Rank of a k-subset among the k-subsets of ``ground`` (increasing) in
+    colex order, by the combinatorial number system."""
+    positions = sorted(ground.index(x) for x in subset)
+    return sum(comb(p, i + 1) for i, p in enumerate(positions))
+
+
+def assignment_vectors(length: int, m: int) -> list:
+    """All vectors in {1..m}^length, position 0 varying fastest."""
+    return [v[::-1] for v in product(range(1, m + 1), repeat=length)]
+
+
+def vector_rank(values, m: int) -> int:
+    """Assignment vector read as a little-endian base-m number."""
+    return sum((v - 1) * m**p for p, v in enumerate(values))
+
+
+def global_functions(k: int, q: int, m: int) -> list:
+    """All global assignments: a value in 1..m for every k-subset of
+    {1..q}, the subsets in colex order; there are m^C(q,k) of them."""
+    return assignment_vectors(comb(q, k), m)
+
+
+def clique_of(fn, k: int, q: int, m: int) -> tuple:
+    """Indices, in ``build_function_graph(k, q, m)``, of the q restrictions
+    (i, fn restricted to the k-subsets avoiding i) of a global assignment."""
+    if k == 0:
+        return tuple((fn[0] - 1) * q + pos for pos in range(q))
+    full = list(range(1, q + 1))
+    side = m ** comb(q - 1, k)
+    out = []
+    for i in full:
+        ground = [x for x in full if x != i]
+        restricted = sorted(combinations(ground, k), key=lambda s: colex_rank(s, ground))
+        vec = [fn[colex_rank(s, full)] for s in restricted]
+        out.append((i - 1) * side + vector_rank(vec, m))
+    return tuple(out)
 
 
 def maximal_independent_sets(g: Graph) -> set:

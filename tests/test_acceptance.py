@@ -16,6 +16,7 @@ import pytest
 from wellcovered import (
     TailPermutation,
     TargetSequence,
+    b_decomposition,
     binomial_ratio_check,
     build_function_graph,
     build_plan,
@@ -28,7 +29,6 @@ from wellcovered import (
     independence_polynomial,
     is_well_covered,
     join,
-    kneser,
     materialize,
     maximal_cliques,
     plan_at_m,
@@ -40,7 +40,7 @@ from wellcovered import (
     verify_on_graph,
 )
 
-from bruteforce import independence_polynomial_bruteforce, random_graph
+from bruteforce import independence_polynomial_bruteforce, kneser, random_graph
 
 THIRD = Fraction(1, 3)
 
@@ -70,7 +70,7 @@ def materialized_graphs():
         report = realize(p)
         assert report.materialized
         out[name] = (report.graph, report.plan, p)
-    forced = plan_at_m(TargetSequence.of(3, [3, 11, 10]), 3, THIRD)
+    forced = plan_at_m(b_decomposition(TargetSequence.of(3, [3, 11, 10])), 3, THIRD)
     out["q3-forced-m3"] = (materialize(forced), forced, None)
     return out
 

@@ -60,8 +60,9 @@ def test_b_decomposition_examples():
     assert d2.b == (Fraction(1), Fraction(0), Fraction(0))
     for tgt in (target(3, [3, 11, 10]), target(3, [3, 3, 1])):
         d = b_decomposition(tgt)
+        assert d.target == tgt
         for t in range(1, 4):
-            assert d.reconstruct(t) == tgt.a(t)
+            assert comb(3, t) * sum(d.b[:t], Fraction(0)) == tgt.a(t)
 
 
 def test_b_decomposition_rejects_bad_chain():
@@ -163,10 +164,10 @@ def test_per_copy_exactness_split():
 def test_monotone_retry_deviations():
     for values in ([3, 11, 10], [3, 10, 11], [4, 20, 18, 19]):
         q = len(values)
-        tgt = target(q, values)
+        decomp = b_decomposition(target(q, values))
         for m in (3, 10, 41):
-            small = plan_at_m(tgt, m, THIRD)
-            large = plan_at_m(tgt, 2 * m, THIRD)
+            small = plan_at_m(decomp, m, THIRD)
+            large = plan_at_m(decomp, 2 * m, THIRD)
             for d2, d1 in zip(large.deviations, small.deviations):
                 assert d2 <= d1
 
@@ -218,7 +219,7 @@ def test_verify_certificate_validation():
 def test_materialize_trivial_plan():
     # with m forced to 1 the single component is the complement of one
     # complete graph: the empty graph on q vertices, an exact certificate
-    plan = plan_at_m(target(3, [3, 3, 1]), 1, THIRD)
+    plan = plan_at_m(b_decomposition(target(3, [3, 3, 1])), 1, THIRD)
     g = materialize(plan)
     assert g.n == 3 and g.edge_count() == 0
     assert list(independence_polynomial(g)) == [1, 3, 3, 1]
@@ -232,7 +233,7 @@ def test_materialized_counts_match_predictions():
         (target(3, [3, 11, 10]), 3),
     ]
     for tgt, m in cases:
-        plan = plan_at_m(tgt, m, THIRD)
+        plan = plan_at_m(b_decomposition(tgt), m, THIRD)
         g = materialize(plan)
         assert g.n == plan.vertex_total()
         poly = independence_polynomial(g)

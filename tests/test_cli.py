@@ -15,10 +15,11 @@ from wellcovered import (
     build_function_graph,
     complete,
     from_graph6,
-    kneser,
     to_graph6,
 )
 from wellcovered.cli import main
+
+from bruteforce import kneser
 
 
 def write_graph(tmp_path, name, g):
@@ -246,6 +247,22 @@ def test_realize_builds_one_plan(capsys, monkeypatch):
     assert built == [58]
 
 
+def test_realize_decomposes_once(capsys, monkeypatch):
+    # build_plan hands its b-decomposition to plan_at_m instead of both
+    # deriving it from the target
+    calls = []
+    real = wellcovered.certificate.b_decomposition
+
+    def spy(target):
+        calls.append(target.q)
+        return real(target)
+
+    monkeypatch.setattr(wellcovered.certificate, "b_decomposition", spy)
+    code, _, _ = run(capsys, "realize", "-q", "3", "--pi", "3,2")
+    assert code == 0
+    assert calls == [3]
+
+
 def test_realize_uncertified_plan_is_internal_failure(capsys, monkeypatch):
     real = wellcovered.certificate.plan_at_m
     monkeypatch.setattr(
@@ -331,6 +348,17 @@ def test_realize_q2_with_graph_output(tmp_path, capsys, monkeypatch):
     assert data["graph6"] == to_graph6(g).decode("ascii")
 
 
+def test_realize_out_over_budget_is_refused(tmp_path, capsys):
+    # the q=3 swap certifies at m = 58 with 1840050 vertices, over the
+    # default budget
+    out_path = tmp_path / "g.g6"
+    code, out, err = run(capsys, "realize", "-q", "3", "--pi", "3,2", "--out", str(out_path))
+    assert code == 2
+    assert out == ""
+    assert "1840050" in err and "200000" in err
+    assert not out_path.exists()
+
+
 def test_realize_counts_past_int_str_digit_limit(capsys):
     # the q=12 plan has integers of about 4750 digits, past Python's
     # default int-to-str limit
@@ -368,6 +396,25 @@ def test_usage_errors(capsys):
     assert code == 4
     code, _ = run_usage_error(capsys, "realize", "-q", "3", "--pi", "3,2", "--seed", "1")
     assert code == 4
+
+
+def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
+    parsers = []
+    real = wellcovered.cli._Parser.parse_args
+
+    def spy(self, *args, **kwargs):
+        parsers.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(wellcovered.cli._Parser, "parse_args", spy)
+    path = write_graph(tmp_path, "k3.g6", complete(3))
+    code, out, _ = run(capsys, "check", path, "--mode", "indpoly")
+    assert code == 0 and json.loads(out) == ["1", "3"]
+    # a usage error on the reused parser still exits 4 with its message
+    code, err = run_usage_error(capsys, "check", path, "--mode", "property-p")
+    assert code == 4
+    assert "--mode property-p requires -k, -q and -m" in err
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
 
 
 def test_text_format(capsys):

@@ -17,13 +17,12 @@ from wellcovered import (
     disjoint_copies,
     independence_polynomial,
     is_well_covered,
-    kneser,
     maximal_cliques,
     maximal_independent_sets,
 )
 
 import bruteforce
-from bruteforce import independence_polynomial_bruteforce
+from bruteforce import independence_polynomial_bruteforce, kneser
 
 
 def path(n):

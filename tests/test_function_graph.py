@@ -1,3 +1,4 @@
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -8,12 +9,10 @@ from wellcovered import (
     build_function_graph,
     check_clique_extension,
     clique_count_closed_form,
-    clique_of,
     clique_polynomial,
     complement,
     complete,
     disjoint_copies,
-    global_functions,
     is_well_covered,
     maximal_cliques,
     vertex_count,
@@ -67,54 +66,54 @@ def test_small_example_structure():
     assert h.labels[1] == FunctionVertex(2, (1, 1)) or h.labels[4] == FunctionVertex(2, (1, 1))
 
 
-def test_adjacency_rule_matches_definition():
-    # check the declared adjacency predicate directly against the labels
-    q, k, m = 4, 1, 2
-    h = build_function_graph(k, q, m)
-    from wellcovered import KSubsetCodec
+# k = 1..3 and q <= 5, m = 1 included; each side's ground {1..q}\{i} has
+# a gap.  Colex and lex order first differ on the 2-subsets of a 4-set, so
+# the (2, 5, m) triples pin the colex order.
+ADJACENCY_TRIPLES = [
+    (1, 2, 3), (1, 3, 1), (1, 3, 4), (1, 4, 2), (1, 4, 3), (1, 5, 2),
+    (2, 3, 3), (2, 4, 1), (2, 4, 2), (2, 5, 1), (2, 5, 2), (3, 4, 3),
+    (3, 5, 1), (3, 5, 2),
+]
 
-    codecs = {
-        i: KSubsetCodec([x for x in range(1, q + 1) if x != i], k)
-        for i in range(1, q + 1)
-    }
+
+@pytest.mark.parametrize("k,q,m", ADJACENCY_TRIPLES)
+def test_adjacency_rule_matches_definition(k, q, m):
+    # vertex order and the declared adjacency predicate, read off the
+    # labels through the combinatorial number system
+    h = build_function_graph(k, q, m)
+    vectors = bruteforce.assignment_vectors(comb(q - 1, k), m)
+    assert h.labels == tuple(
+        FunctionVertex(i, vec) for i in range(1, q + 1) for vec in vectors
+    )
+    grounds = {i: [x for x in range(1, q + 1) if x != i] for i in range(1, q + 1)}
+
+    def value(label, s):
+        return label.values[bruteforce.colex_rank(s, grounds[label.i])]
+
     for u in range(h.n):
         fu = h.labels[u]
         for v in range(u + 1, h.n):
             fv = h.labels[v]
-            if fu.i == fv.i:
-                expected = False
-            else:
-                shared = [
-                    s
-                    for s in codecs[fu.i].subsets()
-                    if fv.i not in s
-                ]
-                expected = all(
-                    fu.values[codecs[fu.i].rank(s)] == fv.values[codecs[fv.i].rank(s)]
-                    for s in shared
-                )
+            shared = [x for x in grounds[fu.i] if x != fv.i]
+            expected = fu.i != fv.i and all(
+                value(fu, s) == value(fv, s) for s in combinations(shared, k)
+            )
             assert h.has_edge(u, v) == expected, (u, v, fu, fv)
 
 
 def test_clique_of():
-    # m = 1: the unique global function restricts to the whole of K_q
-    (fn,) = global_functions(1, 3, 1)
-    assert sorted(clique_of(fn, 1, 3, 1)) == [0, 1, 2]
+    # m = 1: the unique global function restricts to the whole of K_3
+    (fn,) = bruteforce.global_functions(1, 3, 1)
+    assert sorted(bruteforce.clique_of(fn, 1, 3, 1)) == [0, 1, 2]
 
     # constant global function at (1,3,2) gives an actual triangle
     h = build_function_graph(1, 3, 2)
-    const = (1, 1, 1)
-    triangle = clique_of(const, 1, 3, 2)
+    triangle = bruteforce.clique_of((1, 1, 1), 1, 3, 2)
     assert len(triangle) == 3
     assert bruteforce.is_clique(h, triangle)
 
     # k = 0: value class c is the c-th copy
-    assert clique_of((2,), 0, 3, 2) == (3, 4, 5)
-
-    with pytest.raises(ValueError):
-        clique_of((1, 1), 1, 3, 2)
-    with pytest.raises(ValueError):
-        clique_of((1, 1, 3), 1, 3, 2)
+    assert bruteforce.clique_of((2,), 0, 3, 2) == (3, 4, 5)
 
 
 def test_restriction_cliques_cover_all_maximal_cliques():
@@ -123,9 +122,9 @@ def test_restriction_cliques_cover_all_maximal_cliques():
     # cliques, one per global function
     for k, q, m in GRID:
         h = build_function_graph(k, q, m)
-        fns = list(global_functions(k, q, m))
+        fns = bruteforce.global_functions(k, q, m)
         assert len(fns) == m ** comb(q, k)
-        mapped = {tuple(sorted(clique_of(f, k, q, m))) for f in fns}
+        mapped = {tuple(sorted(bruteforce.clique_of(f, k, q, m))) for f in fns}
         assert len(mapped) == len(fns)
         assert mapped == set(maximal_cliques(h)), (k, q, m)
 

@@ -10,10 +10,9 @@ from wellcovered import (
     disjoint_copies,
     independence_polynomial,
     join,
-    kneser,
 )
 
-from bruteforce import random_graph
+from bruteforce import kneser, random_graph
 
 
 def components(g):
