@@ -28,6 +28,7 @@ from .function_graph import (
     FunctionVertex,
     build_function_graph,
     clique_count_closed_form,
+    function_vertices,
     vertex_count,
 )
 from .graph import Graph, complement, complete, disjoint_copies, join
@@ -67,6 +68,7 @@ __all__ = [
     "disjoint_copies",
     "epsilon_from_target",
     "from_graph6",
+    "function_vertices",
     "independence_polynomial",
     "is_well_covered",
     "join",

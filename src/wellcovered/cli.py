@@ -21,7 +21,11 @@ from .enumeration import (
     is_well_covered,
 )
 from .errors import BudgetExceededError
-from .function_graph import DEFAULT_VERTEX_BUDGET, build_function_graph
+from .function_graph import (
+    DEFAULT_VERTEX_BUDGET,
+    build_function_graph,
+    function_vertices,
+)
 from .graph import Graph
 from .graph6 import Graph6Error, from_graph6, to_graph6
 from .tailorder import TailPermutation, realize
@@ -44,18 +48,21 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="wellcovered", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, run, *, formats=True):
         p.add_argument("--budget", type=int, default=DEFAULT_VERTEX_BUDGET,
                        help="vertex budget (default %(default)s)")
-        p.add_argument("--format", choices=("json", "text"), default="json")
+        if formats:
+            p.add_argument("--format", choices=("json", "text"), default="json")
         p.add_argument("--out", help="write primary output to this file")
+        # usage errors found after parsing go to the subcommand's parser
+        p.set_defaults(run=run, parser=p)
 
     c = sub.add_parser("construct", help="build a function graph, emit graph6")
     c.add_argument("-k", type=int, required=True)
     c.add_argument("-q", type=int, required=True)
     c.add_argument("-m", type=int, required=True)
     c.add_argument("--labels", help="write a JSON label sidecar to this file")
-    common(c)
+    common(c, _cmd_construct, formats=False)
 
     k = sub.add_parser("check", help="run a verifier on a graph6 input file")
     k.add_argument("input", help="graph6 file (first graph line is read)")
@@ -64,7 +71,7 @@ def _build_parser() -> _Parser:
     k.add_argument("-k", type=int, dest="pk")
     k.add_argument("-q", type=int, dest="pq")
     k.add_argument("-m", type=int, dest="pm")
-    common(k)
+    common(k, _cmd_check)
 
     r = sub.add_parser("realize", help="realize a prescribed tail ordering")
     r.add_argument("-q", type=int, required=True)
@@ -72,7 +79,7 @@ def _build_parser() -> _Parser:
                    help="tail permutation: image list like 3,2 or JSON map")
     r.add_argument("--mcap", type=int, default=DEFAULT_M_CAP,
                    help="cap on the certificate retry parameter m")
-    common(r)
+    common(r, _cmd_realize)
     return parser
 
 
@@ -120,12 +127,13 @@ def _cmd_construct(args) -> int:
     else:
         print(line.decode("ascii"))
     if args.labels:
-        sidecar = [[lab.i, list(lab.values)] for lab in g.labels]
+        labels = function_vertices(args.k, args.q, args.m)
+        sidecar = [[lab.i, list(lab.values)] for lab in labels]
         Path(args.labels).write_text(json.dumps(sidecar))
     return EXIT_OK
 
 
-def _cmd_check(args, parser: _Parser) -> int:
+def _cmd_check(args) -> int:
     g = _read_graph(args.input)
     if args.mode == "indpoly":
         payload = independence_polynomial(g).to_json()
@@ -136,7 +144,7 @@ def _cmd_check(args, parser: _Parser) -> int:
         payload = {"holds": result.holds, "first_violation": result.first_violation}
     else:  # property-p
         if args.pk is None or args.pq is None or args.pm is None:
-            parser.error("--mode property-p requires -k, -q and -m")
+            args.parser.error("--mode property-p requires -k, -q and -m")
         payload = check_clique_extension(g, args.pk, args.pq, args.pm).to_json()
     _emit(payload, args.format, args.out)
     return EXIT_OK
@@ -149,11 +157,11 @@ def _parse_pi(q: int, text: str) -> TailPermutation:
     return TailPermutation.from_image_list(q, (part for part in text.split(",")))
 
 
-def _cmd_realize(args, parser: _Parser) -> int:
+def _cmd_realize(args) -> int:
     try:
         perm = _parse_pi(args.q, args.pi)
     except (ValueError, json.JSONDecodeError) as exc:
-        parser.error(f"invalid --pi: {exc}")
+        args.parser.error(f"invalid --pi: {exc}")
     report = realize(perm, vertex_budget=args.budget, m_cap=args.mcap)
     if args.out and report.graph is None:
         raise BudgetExceededError(
@@ -172,16 +180,11 @@ def _cmd_realize(args, parser: _Parser) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.budget <= 0 or args.command == "realize" and args.mcap <= 0:
-        parser.error("budgets must be positive")
+        args.parser.error("budgets must be positive")
     try:
-        if args.command == "construct":
-            return _cmd_construct(args)
-        if args.command == "check":
-            return _cmd_check(args, parser)
-        return _cmd_realize(args, parser)
+        return args.run(args)
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET

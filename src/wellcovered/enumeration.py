@@ -93,38 +93,14 @@ def _bron_kerbosch(rows, p: int) -> Iterator[tuple[int, ...]]:
 def maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
     """Enumerate every maximal clique exactly once, as sorted vertex tuples.
 
-    The graph is split into connected components first (a maximal clique
-    never spans components).  When there is more than one, each is
-    relabeled to a compact bit range so that the explicit-stack
-    Bron-Kerbosch works on short masks.
+    A maximal clique never spans components, so Bron-Kerbosch runs on
+    each connected component in turn, ordered by smallest vertex.
     """
     if g.n == 0:
         yield ()
         return
-    rows = g.rows
-    comps = _components((1 << g.n) - 1, rows)
-    if len(comps) == 1:
-        yield from _bron_kerbosch(rows, comps[0])
-        return
-    for comp in comps:
-        verts = []
-        rest = comp
-        while rest:
-            low = rest & -rest
-            verts.append(low.bit_length() - 1)
-            rest ^= low
-        local_index = {v: i for i, v in enumerate(verts)}
-        local_rows = []
-        for v in verts:
-            row = 0
-            rest = rows[v]
-            while rest:
-                low = rest & -rest
-                row |= 1 << local_index[low.bit_length() - 1]
-                rest ^= low
-            local_rows.append(row)
-        for cl in _bron_kerbosch(local_rows, (1 << len(verts)) - 1):
-            yield tuple(verts[i] for i in cl)
+    for comp in _components((1 << g.n) - 1, g.rows):
+        yield from _bron_kerbosch(g.rows, comp)
 
 
 def maximal_independent_sets(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -406,10 +382,7 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
     if witness is not None:
         violations.append((2, witness))
 
-    if k == 0:
-        if len(cliques) < m:
-            violations.append((3, ()))
-    elif m > 1:  # at m = 1 it holds: every clique lies in a maximal one
+    if m > 1:  # at m = 1 it holds: every clique lies in a maximal one
         counts = Counter(chain.from_iterable(combinations(cl, k) for cl in cliques))
         short = [s for s, c in counts.items() if c < m]
         if short:

@@ -58,15 +58,28 @@ def _vectors(length: int, m: int) -> list[tuple[int, ...]]:
     ]
 
 
+def function_vertices(k: int, q: int, m: int) -> tuple[FunctionVertex, ...]:
+    """The label of each vertex of the (k, q, m) function graph, in vertex
+    order: i ascending, then the assignment vector read as a base-m
+    number; for k = 0, copy-major (copy c is the value class c+1)."""
+    _validate_params(k, q, m)
+    if k == 0:
+        return tuple(
+            FunctionVertex(i, (c,)) for c in range(1, m + 1) for i in range(1, q + 1)
+        )
+    vecs = _vectors(comb(q - 1, k), m)
+    return tuple(FunctionVertex(i, vec) for i in range(1, q + 1) for vec in vecs)
+
+
 def build_function_graph(
     k: int, q: int, m: int, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> Graph:
-    """Construct the function graph for (k, q, m), with FunctionVertex labels.
+    """Construct the function graph for (k, q, m).
 
-    Vertices are ordered by i ascending, then by the assignment vector
-    read as a base-m number, so repeated builds are identical and golden
-    files stay stable.  Refuses (BudgetExceededError) when the vertex
-    count q * m^C(q-1,k) exceeds ``vertex_budget``.
+    Vertices are in the order of :func:`function_vertices`, so repeated
+    builds are identical and golden files stay stable.  Refuses
+    (BudgetExceededError) when the vertex count q * m^C(q-1,k) exceeds
+    ``vertex_budget``.
     """
     _validate_params(k, q, m)
     n = vertex_count(k, q, m)
@@ -76,14 +89,7 @@ def build_function_graph(
             f"{q} * {m}^{comb(q - 1, k)} = {n} vertices, over budget {vertex_budget}"
         )
     if k == 0:
-        # m disjoint q-cliques; copy c is the value class c+1
-        base = disjoint_copies(complete(q), m)
-        labels = tuple(
-            FunctionVertex(pos + 1, (copy + 1,))
-            for copy in range(m)
-            for pos in range(q)
-        )
-        return Graph(base.n, base.rows, labels)
+        return disjoint_copies(complete(q), m)
 
     length = comb(q - 1, k)
     side = m**length
@@ -95,7 +101,6 @@ def build_function_graph(
         side_subsets = combinations([x for x in ground if x != i], k)
         ordered = sorted(side_subsets, key=lambda s: s[::-1])
         colex[i] = {s: r for r, s in enumerate(ordered)}
-    labels = [FunctionVertex(i, vec) for i in ground for vec in vecs]
     rows = [0] * n
     for i in ground:
         off_i = (i - 1) * side
@@ -120,7 +125,7 @@ def build_function_graph(
                     for v in right:
                         rows[u] |= 1 << v
                         rows[v] |= 1 << u
-    return Graph(n, rows, labels)
+    return Graph(n, rows)
 
 
 def clique_count_closed_form(k: int, q: int, m: int, j: int) -> int:

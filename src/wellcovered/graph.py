@@ -4,15 +4,11 @@ A graph is a vertex count ``n`` and a tuple of ``n`` integer bit rows:
 bit ``u`` of ``rows[v]`` is set iff ``u ~ v``.  Rows keep neighborhood
 intersection at one word op per 64 vertices, which is the hot operation
 for every enumeration routine downstream.
-
-Graphs compare equal on (n, edge set) alone; the optional per-vertex
-``labels`` tuple is an opaque side-car (construction provenance) and never
-affects equality or hashing.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -31,9 +27,9 @@ class Graph:
     construction from an edge list.
     """
 
-    __slots__ = ("n", "rows", "labels")
+    __slots__ = ("n", "rows")
 
-    def __init__(self, n: int, rows: Sequence[int], labels: Optional[Sequence] = None):
+    def __init__(self, n: int, rows: Sequence[int]):
         if n < 0:
             raise ValueError("vertex count must be non-negative")
         rows = tuple(rows)
@@ -45,24 +41,14 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {v}")
             if row & ~full:
                 raise ValueError(f"adjacency row {v} references vertices >= {n}")
-        if labels is not None:
-            labels = tuple(labels)
-            if len(labels) != n:
-                raise ValueError(f"expected {n} labels, got {len(labels)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "labels", labels)
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
 
     @classmethod
-    def from_edges(
-        cls,
-        n: int,
-        edges: Iterable[tuple[int, int]],
-        labels: Optional[Sequence] = None,
-    ) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         rows = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
@@ -71,7 +57,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {u}")
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        return cls(n, rows, labels)
+        return cls(n, rows)
 
     # -- queries ------------------------------------------------------
 
@@ -93,10 +79,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    def with_labels(self, labels: Optional[Sequence]) -> "Graph":
-        """Same graph, different label side-car."""
-        return Graph(self.n, self.rows, labels)
 
     # -- identity -----------------------------------------------------
 
@@ -124,34 +106,27 @@ def complete(q: int) -> Graph:
 
 
 def disjoint_copies(g: Graph, c: int) -> Graph:
-    """c vertex-disjoint copies of g; copy i occupies indices [i*n, (i+1)*n).
-
-    Labels, when present on g, are replicated as (copy_index, label).
-    """
+    """c vertex-disjoint copies of g; copy i occupies indices [i*n, (i+1)*n)."""
     if c < 1:
         raise ValueError("need at least one copy")
     rows = []
     for copy in range(c):
         shift = copy * g.n
         rows.extend(r << shift for r in g.rows)
-    labels = None
-    if g.labels is not None:
-        labels = tuple((copy, lab) for copy in range(c) for lab in g.labels)
-    return Graph(c * g.n, rows, labels)
+    return Graph(c * g.n, rows)
 
 
 def complement(g: Graph) -> Graph:
-    """Edge complement on the same vertex set; labels preserved."""
+    """Edge complement on the same vertex set."""
     full = (1 << g.n) - 1
     rows = [full & ~r & ~(1 << v) for v, r in enumerate(g.rows)]
-    return Graph(g.n, rows, g.labels)
+    return Graph(g.n, rows)
 
 
 def join(parts: Sequence[Graph]) -> Graph:
     """Disjoint union of parts plus every edge between distinct parts.
 
     Vertex order is concatenation order with stable per-part offsets.
-    Labels are concatenated when every part is labeled, otherwise dropped.
     """
     if not parts:
         raise ValueError("join() of an empty list")
@@ -164,8 +139,5 @@ def join(parts: Sequence[Graph]) -> Graph:
         outside = all_mask ^ span
         rows.extend((r << offset) | outside for r in p.rows)
         offset += p.n
-    labels = None
-    if all(p.labels is not None for p in parts):
-        labels = tuple(lab for p in parts for lab in p.labels)
-    return Graph(n, rows, labels)
+    return Graph(n, rows)
 

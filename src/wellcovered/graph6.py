@@ -3,7 +3,7 @@
 Standard format: 6-bit big-endian groups offset by 63, an N(n) header,
 then the upper triangle of the adjacency matrix in column-major order
 (bit (u,v) for v = 1..n-1, u = 0..v-1), zero-padded to a multiple of six
-bits.  One graph per line in files; labels are never serialized.
+bits.  One graph per line in files.
 
 Both directions run on whole buffers, so their Python-level loops are per
 column or per row, never per bit or per data byte.  The bit string is an

@@ -91,9 +91,6 @@ class TailPermutation:
             raise ValueError(f"index {t} not in the tail set")
         return self.mapping[i][1]
 
-    def to_json(self) -> dict:
-        return {str(t): v for t, v in self.mapping}
-
 
 def target_from_permutation(p: TailPermutation) -> TargetSequence:
     """Targets a_t = C(q,t) below the tail and 2^q + pi(t) on it.

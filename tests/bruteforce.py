@@ -79,7 +79,7 @@ def smallest_certified_m(target, eps, m_cap: int):
 
 def kneser(n: int, k: int) -> Graph:
     """Kneser graph: vertices are the k-subsets of {1..n} in lexicographic
-    order, edges join disjoint subsets.  Labels carry the subsets."""
+    order, edges join disjoint subsets."""
     if k < 1 or k > n:
         raise ValueError(f"kneser requires 1 <= k <= n, got n={n}, k={k}")
     verts = list(combinations(range(1, n + 1), k))
@@ -88,7 +88,7 @@ def kneser(n: int, k: int) -> Graph:
         for u, v in combinations(range(len(verts)), 2)
         if not set(verts[u]) & set(verts[v])
     ]
-    return Graph.from_edges(len(verts), edges, verts)
+    return Graph.from_edges(len(verts), edges)
 
 
 # -- function graphs ----------------------------------------------------------

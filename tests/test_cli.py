@@ -61,6 +61,16 @@ def test_construct_to_file_with_sidecar(tmp_path, capsys):
     assert labels[0] == [1, [1, 1]]
 
 
+def test_construct_k0_label_sidecar(tmp_path, capsys):
+    # k = 0: m disjoint copies of K_q, copy c is the value class c+1
+    sidecar = tmp_path / "h.labels.json"
+    code, _, _ = run(
+        capsys, "construct", "-k", "0", "-q", "3", "-m", "2", "--labels", str(sidecar)
+    )
+    assert code == 0
+    assert sidecar.read_text() == "[[1, [1]], [2, [1]], [3, [1]], [1, [2]], [2, [2]], [3, [2]]]"
+
+
 def child_env():
     """Environment for a child interpreter that imports the copy of the
     package under test, installed or not."""
@@ -396,6 +406,31 @@ def test_usage_errors(capsys):
     assert code == 4
     code, _ = run_usage_error(capsys, "realize", "-q", "3", "--pi", "3,2", "--seed", "1")
     assert code == 4
+    # construct always writes graph6: only check and realize take --format
+    code, err = run_usage_error(
+        capsys, "construct", "-k", "1", "-q", "3", "-m", "2", "--format", "text"
+    )
+    assert code == 4
+    assert "--format" in err
+
+
+@pytest.mark.parametrize(
+    "argv, command",
+    [
+        (["check", "{path}", "--mode", "property-p"], "check"),
+        (["check", "{path}", "--mode", "indpoly", "--budget", "0"], "check"),
+        (["construct", "-k", "1", "-q", "3", "-m", "2", "--budget", "-5"], "construct"),
+        (["realize", "-q", "3", "--pi", "2,2"], "realize"),
+        (["realize", "-q", "3", "--pi", "3,2", "--mcap", "0"], "realize"),
+    ],
+    ids=["property-p-params", "check-budget", "construct-budget", "realize-pi", "realize-mcap"],
+)
+def test_usage_errors_after_parsing_print_subcommand_usage(tmp_path, capsys, argv, command):
+    path = write_graph(tmp_path, "k3.g6", complete(3))
+    code, err = run_usage_error(capsys, *(a.format(path=path) for a in argv))
+    assert code == 4
+    assert err.splitlines()[0].startswith(f"usage: wellcovered {command} ")
+    assert f"wellcovered {command}: error: " in err
 
 
 def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from wellcovered import (
     complement,
     complete,
     disjoint_copies,
+    function_vertices,
     is_well_covered,
     maximal_cliques,
     vertex_count,
@@ -62,8 +63,9 @@ def test_small_example_structure():
     assert len(cliques) == 8
     assert all(len(c) == 3 for c in cliques)
     # vertex order: i ascending, then vector as little-endian base-m
-    assert h.labels[0] == FunctionVertex(1, (1, 1))
-    assert h.labels[1] == FunctionVertex(2, (1, 1)) or h.labels[4] == FunctionVertex(2, (1, 1))
+    labels = function_vertices(1, 3, 2)
+    assert labels[0] == FunctionVertex(1, (1, 1))
+    assert labels[1] == FunctionVertex(2, (1, 1)) or labels[4] == FunctionVertex(2, (1, 1))
 
 
 # k = 1..3 and q <= 5, m = 1 included; each side's ground {1..q}\{i} has
@@ -81,8 +83,9 @@ def test_adjacency_rule_matches_definition(k, q, m):
     # vertex order and the declared adjacency predicate, read off the
     # labels through the combinatorial number system
     h = build_function_graph(k, q, m)
+    labels = function_vertices(k, q, m)
     vectors = bruteforce.assignment_vectors(comb(q - 1, k), m)
-    assert h.labels == tuple(
+    assert labels == tuple(
         FunctionVertex(i, vec) for i in range(1, q + 1) for vec in vectors
     )
     grounds = {i: [x for x in range(1, q + 1) if x != i] for i in range(1, q + 1)}
@@ -91,9 +94,9 @@ def test_adjacency_rule_matches_definition(k, q, m):
         return label.values[bruteforce.colex_rank(s, grounds[label.i])]
 
     for u in range(h.n):
-        fu = h.labels[u]
+        fu = labels[u]
         for v in range(u + 1, h.n):
-            fv = h.labels[v]
+            fv = labels[v]
             shared = [x for x in grounds[fu.i] if x != fv.i]
             expected = fu.i != fv.i and all(
                 value(fu, s) == value(fv, s) for s in combinations(shared, k)

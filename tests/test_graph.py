@@ -1,3 +1,4 @@
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -51,16 +52,6 @@ def test_from_edges_validation():
         Graph(2, [4, 0])  # row references vertex 2 on a 2-vertex graph
 
 
-def test_graph_identity_ignores_labels():
-    g = Graph.from_edges(2, [(0, 1)])
-    h = g.with_labels(["a", "b"])
-    assert g == h
-    assert hash(g) == hash(h)
-    assert h.labels == ("a", "b")
-    with pytest.raises(ValueError):
-        g.with_labels(["only-one"])
-
-
 def test_graph_immutable():
     g = complete(3)
     with pytest.raises(AttributeError):
@@ -72,14 +63,8 @@ def test_disjoint_copies():
     assert two_k3.n == 6 and two_k3.edge_count() == 6
     assert components(two_k3) == 2
 
-    g = Graph.from_edges(4, [(0, 1), (2, 3)], labels=["a", "b", "c", "d"])
+    g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert disjoint_copies(g, 1) == g
-    assert disjoint_copies(g, 1).labels == (
-        (0, "a"),
-        (0, "b"),
-        (0, "c"),
-        (0, "d"),
-    )
 
     three_k2 = disjoint_copies(complete(2), 3)
     assert three_k2.n == 6 and three_k2.edge_count() == 3
@@ -151,10 +136,12 @@ def test_kneser():
     big = kneser(8, 2)
     assert big.n == 28
     assert all(big.degree(v) == 15 for v in range(28))
-    # labels carry the subsets and adjacency is exactly disjointness
+    # vertices are the 2-subsets in lexicographic order and adjacency is
+    # exactly disjointness
+    subsets = list(combinations(range(1, 9), 2))
     for u in range(big.n):
         for v in range(u + 1, big.n):
-            disjoint = not set(big.labels[u]) & set(big.labels[v])
+            disjoint = not set(subsets[u]) & set(subsets[v])
             assert big.has_edge(u, v) == disjoint
 
     with pytest.raises(ValueError):

@@ -68,11 +68,6 @@ def test_header_prefix_and_whitespace():
     assert from_graph6(to_graph6(g).decode("ascii")) == g
 
 
-def test_labels_not_serialized():
-    g = complete(3).with_labels(["x", "y", "z"])
-    assert from_graph6(to_graph6(g)).labels is None
-
-
 def test_malformed_inputs():
     with pytest.raises(Graph6Error):
         from_graph6(b"")
