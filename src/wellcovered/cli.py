@@ -1,8 +1,10 @@
 """Command-line interface: construct / check / realize.
 
 Exit codes: 0 success, 1 internal invariant failure, 2 budget refusal,
-3 domain error (bad graph, unmet precondition), 4 usage error.  JSON goes
-to stdout (big integers as decimal strings), diagnostics to stderr.
+3 domain error (bad graph, unmet precondition), 4 usage error, 141
+(128 + SIGPIPE) when stdout is closed before all output is written, with
+nothing on stderr.  JSON goes to stdout (big integers as decimal strings),
+diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -35,6 +38,7 @@ EXIT_INTERNAL = 1
 EXIT_BUDGET = 2
 EXIT_DOMAIN = 3
 EXIT_USAGE = 4
+EXIT_PIPE = 141
 
 
 class _Parser(argparse.ArgumentParser):
@@ -180,7 +184,9 @@ def _cmd_realize(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, extras = _build_parser().parse_known_args(argv)
+    if extras:  # report them with the subcommand's usage line, not the top-level one
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     if args.budget <= 0 or args.command == "realize" and args.mcap <= 0:
         args.parser.error("budgets must be positive")
     try:
@@ -188,6 +194,8 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
@@ -197,7 +205,16 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = EXIT_PIPE
+    if code == EXIT_PIPE:
+        # Nobody reads stdout any more: send what is still buffered to
+        # devnull, so the interpreter's flush at exit reports no error.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -5,20 +5,52 @@ then the upper triangle of the adjacency matrix in column-major order
 (bit (u,v) for v = 1..n-1, u = 0..v-1), zero-padded to a multiple of six
 bits.  One graph per line in files.
 
-Both directions run on whole buffers, so their Python-level loops are per
-column or per row, never per bit or per data byte.  The bit string is an
-ASCII ``b"0"``/``b"1"`` buffer with one character per bit.  Its six bit
-planes (every sixth character) map to and from the data bytes through
-``bytes.translate`` tables and extended-slice copies; on encode the planes,
-weighted by those tables, are summed as big integers, which cannot carry
-because each byte's total stays below 127.  Decoding lays the triangle out
-as an n x n character matrix, mirrors it across the diagonal with strided
-slice assignment, and parses each row with ``int(row, 2)``.  Base-2
-parsing and ``int.from_bytes``/``int.to_bytes`` are exempt from Python's
-int/str digit limit, so that limit never needs changing.
+Decoding first parses the header and validates the body (its length, then
+the range of every data byte, then the padding bits).  Each direction then
+places the bits by one of two routes, chosen from the input alone:
+
+* **Minority route**, for near-empty and near-complete graphs, such as a
+  certificate, whose complement is a disjoint union of sparse function
+  graphs.  Only the minority entries (the edges of a sparse graph, the
+  non-edges of a dense one) are visited, one Python step each.  Decoding
+  finds the data bytes that are not ``?`` (sparse) or not ``~`` (dense)
+  with ``bytes.find`` on a translated copy of the body, maps each minority
+  bit position p to (u, v) through v = (1 + isqrt(8p + 1)) // 2, ORs the
+  pairs into the rows and, for a dense graph, complements the rows at the
+  end; padding bits are never read as pairs.  Encoding starts from an
+  all-``?`` or all-``~`` body with clear padding bits and flips one bit
+  per minority pair, read off the low v bits of each row v.
+* **Whole-buffer route**, for everything else.  Its Python-level loops are
+  per column or per row, never per bit or per data byte.  The bit string
+  is an ASCII ``b"0"``/``b"1"`` buffer with one character per bit.  Its
+  six bit planes (every sixth character) map to and from the data bytes
+  through ``bytes.translate`` tables and extended-slice copies; on encode
+  the planes, weighted by those tables, are summed as big integers, which
+  cannot carry because each byte's total stays below 127.  Decoding lays
+  the triangle out as an n x n character matrix, mirrors it across the
+  diagonal with strided slice assignment, and parses each row with
+  ``int(row, 2)``.  Base-2 parsing and ``int.from_bytes``/``int.to_bytes``
+  are exempt from Python's int/str digit limit, so that limit never needs
+  changing.
+
+The choice costs only C-level scans.  Encoding sums ``row.bit_count()``
+and takes the minority route when at most 1% of the pairs are in the
+minority.  Decoding compares ``body.count(b"?")`` with
+``body.count(b"~")`` and takes it when at most 4% of the data bytes
+differ from the majority byte (about 0.7% of the pairs, if the minority
+bits are spread out).  Timed on uniform random graphs with n = 600, 2000
+and 4000 (best of five, one process, Python 3.11), the minority route was
+the faster one below a minority fraction of about 1-1.5% of the pairs for
+encoding and about 1% (6-7% of the bytes) for decoding, so both
+thresholds sit at or just below the crossover.  The n = 5148 q = 2
+certificate has 0.044% non-edges (0.14-0.26% of its bytes, by vertex
+order); the function graphs of the paper's construction and their
+complements have at least 2.1% (11% of the bytes).
 """
 
 from __future__ import annotations
+
+from math import isqrt
 
 from .graph import Graph
 
@@ -37,6 +69,10 @@ _PLANE_WEIGHT = [
     bytes.maketrans(b"01", bytes([offset, offset + (32 >> k)]))
     for k, offset in enumerate((63, 0, 0, 0, 0, 0))
 ]
+# The minority routes run when at most 1/divisor of the pairs (encode) or
+# of the data bytes (decode) are in the minority; see the module docstring.
+_ENCODE_MINORITY_DIVISOR = 100
+_DECODE_MINORITY_DIVISOR = 25
 
 
 class Graph6Error(ValueError):
@@ -80,16 +116,48 @@ def _decode_n(data: bytes) -> tuple[int, bytes]:
 def to_graph6(g: Graph) -> bytes:
     """Encode a graph as a graph6 byte string (no trailing newline)."""
     n = g.n
+    nbits = n * (n - 1) // 2
+    edges = sum(row.bit_count() for row in g.rows) // 2
+    if min(edges, nbits - edges) * _ENCODE_MINORITY_DIVISOR <= nbits:
+        body = _body_minority(g.rows, nbits, dense=2 * edges > nbits)
+    else:
+        body = _body_whole_buffer(g.rows)
+    return _encode_n(n) + body
+
+
+def _body_whole_buffer(rows) -> bytes:
     # Column v contributes bits (0,v), (1,v), ..., (v-1,v).  The low v bits
     # of row v hold exactly those, MSB-first after string reversal.
     bits = "".join(
-        format(g.rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)
+        format(rows[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, len(rows))
     ).encode("ascii")
     bits += b"0" * (-len(bits) % 6)
     body = sum(
         int.from_bytes(bits[k::6].translate(_PLANE_WEIGHT[k]), "big") for k in range(6)
     )
-    return _encode_n(n) + body.to_bytes(len(bits) // 6, "big")
+    return body.to_bytes(len(bits) // 6, "big")
+
+
+def _body_minority(rows, nbits: int, dense: bool) -> bytes:
+    # Start from the body of the edgeless (all "?") or complete (all "~",
+    # padding bits clear) graph and flip one bit per non-edge or edge.
+    nbytes = (nbits + 5) // 6
+    body = bytearray([126 if dense else 63]) * nbytes
+    if dense and body:
+        body[-1] -= (1 << (6 * nbytes - nbits)) - 1
+    sign = -1 if dense else 1
+    for v in range(1, len(rows)):
+        mask = (1 << v) - 1
+        low = rows[v] & mask
+        if dense:
+            low ^= mask
+        base = v * (v - 1) // 2
+        while low:
+            bit = low & -low
+            low ^= bit
+            pos = base + bit.bit_length() - 1
+            body[pos // 6] += sign << (5 - pos % 6)
+    return bytes(body)
 
 
 def from_graph6(data: bytes | str) -> Graph:
@@ -117,11 +185,20 @@ def from_graph6(data: bytes | str) -> Graph:
     invalid = body.translate(None, _DATA_BYTES)
     if invalid:
         raise Graph6Error(f"data byte {invalid[0]} outside graph6 range")
+    if body and (body[-1] - 63) & ((1 << (6 * expected - nbits)) - 1):
+        raise Graph6Error("nonzero padding bits")
+    zeros, ones = body.count(b"?"), body.count(b"~")
+    if (expected - max(zeros, ones)) * _DECODE_MINORITY_DIVISOR <= expected:
+        rows = _rows_minority(n, body, nbits, dense=ones > zeros)
+    else:
+        rows = _rows_whole_buffer(n, body)
+    return Graph(n, rows)
+
+
+def _rows_whole_buffer(n: int, body: bytes) -> list:
     bits = bytearray(6 * len(body))
     for k in range(6):
         bits[k::6] = body.translate(_PLANE_BIT[k])
-    if bits.find(b"1", nbits) >= 0:
-        raise Graph6Error("nonzero padding bits")
     # Row v of the matrix is the binary numeral of rows[v]: bit (u,v) sits at
     # column n-1-u of row v and, mirrored, at column n-1-v of row u.
     matrix = bytearray(b"0") * (n * n)
@@ -131,4 +208,35 @@ def from_graph6(data: bytes | str) -> Graph:
         matrix[(v + 1) * n - v : (v + 1) * n] = col
         matrix[v * n - 1 - v :: -n] = col
         pos += v
-    return Graph(n, [int(matrix[v * n : (v + 1) * n], 2) for v in range(n)])
+    return [int(matrix[v * n : (v + 1) * n], 2) for v in range(n)]
+
+
+def _rows_minority(n: int, body: bytes, nbits: int, dense: bool) -> list:
+    # Visit only the bytes that differ from the majority byte and OR their
+    # minority bits into the rows; a dense graph is complemented at the end.
+    # The translation turns those bytes into NULs, which bytes.find locates
+    # faster than a regular expression scans for them.
+    # Bit position pos = v(v-1)/2 + u gives v = (1 + isqrt(8 pos + 1)) // 2.
+    rows = [0] * n
+    flip = 63 if dense else 0
+    marks = bytearray(256)
+    marks[63 + flip] = 1
+    marked = body.translate(marks)
+    i = marked.find(0)
+    while i >= 0:
+        sextet = (body[i] - 63) ^ flip
+        while sextet:
+            top = sextet.bit_length() - 1
+            sextet ^= 1 << top
+            pos = 6 * i + 5 - top
+            if pos >= nbits:  # a padding bit, flipped to 1 on a dense body
+                break
+            v = (1 + isqrt(8 * pos + 1)) >> 1
+            u = pos - v * (v - 1) // 2
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        i = marked.find(0, i + 1)
+    if dense:
+        full = (1 << n) - 1
+        rows = [row ^ full ^ (1 << v) for v, row in enumerate(rows)]
+    return rows

@@ -90,6 +90,30 @@ def test_console_script_entrypoint(tmp_path):
     assert from_graph6(result.stdout.strip()) == complete(2)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 11.7 kB of JSON: print itself hits the closed pipe
+        ["realize", "-q", "9", "--pi", "5,6,7,8,9"],
+        # one short line, still buffered when main returns
+        ["construct", "-k", "0", "-q", "2", "-m", "1"],
+    ],
+    ids=["write-in-main", "flush-at-exit"],
+)
+def test_closed_stdout_exits_141_silently(argv):
+    child = subprocess.Popen(
+        [sys.executable, "-m", "wellcovered.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=child_env(),
+    )
+    child.stdout.close()  # the reader is gone before the child writes
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 141
+    assert err == b""
+
+
 def test_construct_stdout(capsys):
     code, out, _ = run(capsys, "construct", "-k", "0", "-q", "3", "-m", "2")
     assert code == 0
@@ -422,8 +446,19 @@ def test_usage_errors(capsys):
         (["construct", "-k", "1", "-q", "3", "-m", "2", "--budget", "-5"], "construct"),
         (["realize", "-q", "3", "--pi", "2,2"], "realize"),
         (["realize", "-q", "3", "--pi", "3,2", "--mcap", "0"], "realize"),
+        # argparse's own "unrecognized arguments" errors
+        (["construct", "-k", "1", "-q", "3", "-m", "2", "--format", "text"], "construct"),
+        (["check", "{path}", "--mode", "indpoly", "--mcap", "5"], "check"),
     ],
-    ids=["property-p-params", "check-budget", "construct-budget", "realize-pi", "realize-mcap"],
+    ids=[
+        "property-p-params",
+        "check-budget",
+        "construct-budget",
+        "realize-pi",
+        "realize-mcap",
+        "construct-format",
+        "check-mcap",
+    ],
 )
 def test_usage_errors_after_parsing_print_subcommand_usage(tmp_path, capsys, argv, command):
     path = write_graph(tmp_path, "k3.g6", complete(3))
@@ -435,13 +470,14 @@ def test_usage_errors_after_parsing_print_subcommand_usage(tmp_path, capsys, arg
 
 def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):
     parsers = []
-    real = wellcovered.cli._Parser.parse_args
+    real = wellcovered.cli._Parser.parse_known_args
 
     def spy(self, *args, **kwargs):
-        parsers.append(self)
+        if self.prog == "wellcovered":  # not the subcommand parsers it calls
+            parsers.append(self)
         return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(wellcovered.cli._Parser, "parse_args", spy)
+    monkeypatch.setattr(wellcovered.cli._Parser, "parse_known_args", spy)
     path = write_graph(tmp_path, "k3.g6", complete(3))
     code, out, _ = run(capsys, "check", path, "--mode", "indpoly")
     assert code == 0 and json.loads(out) == ["1", "3"]

@@ -7,11 +7,14 @@ from wellcovered import (
     Graph,
     Graph6Error,
     TailPermutation,
+    build_function_graph,
+    complement,
     complete,
     from_graph6,
     realize,
     to_graph6,
 )
+from wellcovered import graph6
 
 from bruteforce import from_graph6_bitwise, graph6_header, random_graph, to_graph6_bitwise
 
@@ -99,6 +102,74 @@ def test_matches_bitwise_oracle():
     assert residues == {0, 1, 3, 4}
 
 
+@pytest.mark.parametrize("dense", [False, True], ids=["near-empty", "near-complete"])
+def test_both_routes_match_bitwise_oracle(dense):
+    # each route is called directly, whatever the selection rule would pick
+    rng = Random(37)
+    for n in range(121):
+        g = random_graph(rng, n, p=0.004)
+        if dense:
+            g = complement(g)
+        line = to_graph6_bitwise(g)
+        header = graph6_header(n)
+        body = line[len(header) :]
+        nbits = n * (n - 1) // 2
+        assert header + graph6._body_minority(g.rows, nbits, dense) == line
+        assert header + graph6._body_whole_buffer(g.rows) == line
+        assert graph6._rows_minority(n, body, nbits, dense) == list(g.rows)
+        assert graph6._rows_whole_buffer(n, body) == list(g.rows)
+        assert to_graph6(g) == line
+        assert from_graph6(line) == g
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("graph6 route taken that the selection rule excludes")
+
+
+def test_minority_route_inputs_get_whole_buffer_error_messages(monkeypatch):
+    # n = 101, 102, 107 have 2, 3 and 5 padding bits
+    rng = Random(41)
+    for n in (101, 102, 107):
+        mid = to_graph6(random_graph(rng, n, p=0.5))
+        near_complete = to_graph6(complement(random_graph(rng, n, p=0.002)))
+        near_empty = to_graph6(random_graph(rng, n, p=0.002))
+        pad = -(n * (n - 1) // 2) % 6
+        set_padding = [
+            line[:-1] + bytes([63 + ((line[-1] - 63) | 1 << (pad - 1))])
+            for line in (mid, near_complete)
+        ]
+        bad_last_byte = [line[:-1] + b"\x7f" for line in (mid, near_empty)]
+        expected = []
+        for bad in (set_padding[0], bad_last_byte[0]):
+            with pytest.raises(Graph6Error) as err:
+                from_graph6(bad)
+            expected.append(str(err.value))
+        assert expected == ["nonzero padding bits", "data byte 127 outside graph6 range"]
+        with monkeypatch.context() as patch:
+            patch.setattr(graph6, "_rows_whole_buffer", refuse)
+            assert from_graph6(near_complete) == from_graph6_bitwise(near_complete)
+            assert from_graph6(near_empty) == from_graph6_bitwise(near_empty)
+            for bad, message in zip((set_padding[1], bad_last_byte[1]), expected):
+                with pytest.raises(Graph6Error) as err:
+                    from_graph6(bad)
+                assert str(err.value) == message
+
+
+def test_route_selection(monkeypatch, q2_certificate):
+    with monkeypatch.context() as patch:
+        patch.setattr(graph6, "_body_whole_buffer", refuse)
+        patch.setattr(graph6, "_rows_whole_buffer", refuse)
+        assert from_graph6(to_graph6(q2_certificate)) == q2_certificate
+    with monkeypatch.context() as patch:
+        patch.setattr(graph6, "_body_minority", refuse)
+        patch.setattr(graph6, "_rows_minority", refuse)
+        # the function-grid triples of the benchmark
+        for k, q, m in ((1, 3, 14), (1, 4, 6), (1, 5, 3), (2, 4, 4), (3, 5, 2)):
+            g = build_function_graph(k, q, m)
+            for h in (g, complement(g)):
+                assert from_graph6(to_graph6(h)) == h
+
+
 def test_decode_matches_bitwise_oracle_on_random_bodies():
     rng = Random(29)
     for n in range(121):
@@ -145,15 +216,24 @@ def test_non_ascii_text_rejected():
         from_graph6(to_graph6(complete(4)).decode("ascii") + "\u00a0")
 
 
-def test_roundtrip_q2_certificate():
+@pytest.fixture(scope="module")
+def q2_certificate():
     # the n=5148 certificate of realize -q 2 --pi 1,2, with 13.2M edges
-    g = realize(TailPermutation.from_image_list(2, (1, 2))).graph
+    return realize(TailPermutation.from_image_list(2, (1, 2))).graph
+
+
+def test_roundtrip_q2_certificate(q2_certificate):
+    g = q2_certificate
     assert g.n == 5148
     encoded = to_graph6(g)
     header = graph6_header(g.n)
     assert encoded.startswith(header)
     assert len(encoded) == len(header) + (g.n * (g.n - 1) // 2 + 5) // 6
     assert from_graph6(encoded) == g
+    # the whole-buffer route, which the selection rule skips here, agrees
+    body = encoded[len(header) :]
+    assert graph6._body_whole_buffer(g.rows) == body
+    assert graph6._rows_whole_buffer(g.n, body) == list(g.rows)
     # spot-check bit (u, v), at position v(v-1)/2 + u of the body
     rng = Random(31)
     for _ in range(2000):

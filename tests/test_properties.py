@@ -85,7 +85,7 @@ def test_clique_polynomial_counts_cliques(g):
 def random_graphs(draw, max_n: int) -> Graph:
     """A random graph on at most ``max_n`` vertices with a drawn density."""
     n = draw(st.integers(0, max_n))
-    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    density = draw(st.sampled_from([0.0, 0.002, 0.1, 0.5, 0.9, 0.998, 1.0]))
     return bruteforce.random_graph(Random(draw(st.integers(0, 2**32))), n, density)
 
 
