@@ -173,9 +173,9 @@ def _cmd_realize(args) -> int:
             f"{report.plan.vertex_total()} vertices, over budget {args.budget}"
         )
     payload = report.to_json()
-    _emit(payload, args.format)
-    if args.out:
+    if args.out:  # written first, so a failed write prints no report
         Path(args.out).write_bytes(payload["graph6"].encode("ascii") + b"\n")
+    _emit(payload, args.format)
     if not report.ordering_verified:
         print("internal failure: ordering not verified on exact counts",
               file=sys.stderr)

@@ -80,8 +80,12 @@ def build_function_graph(
     builds are identical and golden files stay stable.  Refuses
     (BudgetExceededError) when the vertex count q * m^C(q-1,k) exceeds
     ``vertex_budget``.
+
+    Adjacency is built per pair of sides i < j: (i, f) ~ (j, g) iff f and
+    g project alike onto the k-subsets avoiding i and j, so each projection
+    class is one complete bipartite block.  A class keeps one bit mask per
+    side; each vertex's row takes the other side's mask of its class.
     """
-    _validate_params(k, q, m)
     n = vertex_count(k, q, m)
     if n > vertex_budget:
         raise BudgetExceededError(
@@ -91,40 +95,29 @@ def build_function_graph(
     if k == 0:
         return disjoint_copies(complete(q), m)
 
-    length = comb(q - 1, k)
-    side = m**length
-    vecs = _vectors(length, m)
+    side = n // q
+    vecs = _vectors(comb(q - 1, k), m)
     ground = range(1, q + 1)
-    # position of each k-subset of {1..q}\{i} in side i's colex order
-    colex = {}
-    for i in ground:
-        side_subsets = combinations([x for x in ground if x != i], k)
-        ordered = sorted(side_subsets, key=lambda s: s[::-1])
-        colex[i] = {s: r for r, s in enumerate(ordered)}
+    # each side's k-subsets in colex order, a single order on all k-subsets:
+    # two sides list the subsets they share in the same relative order
+    subsets = {
+        a: sorted(combinations([x for x in ground if x != a], k), key=lambda s: s[::-1])
+        for a in ground
+    }
     rows = [0] * n
-    for i in ground:
-        off_i = (i - 1) * side
-        for j in range(i + 1, q + 1):
-            off_j = (j - 1) * side
-            shared = list(combinations([x for x in ground if x not in (i, j)], k))
-            pos_i = [colex[i][a] for a in shared]
-            pos_j = [colex[j][a] for a in shared]
-            # group each side by its projection onto the shared domain;
-            # adjacency is exactly projection equality
-            buckets: dict[tuple[int, ...], tuple[list[int], list[int]]] = {}
-            for r, vec in enumerate(vecs):
-                key = tuple(vec[p] for p in pos_i)
-                buckets.setdefault(key, ([], []))[0].append(off_i + r)
-            for r, vec in enumerate(vecs):
-                key = tuple(vec[p] for p in pos_j)
-                entry = buckets.get(key)
-                if entry is not None:
-                    entry[1].append(off_j + r)
-            for left, right in buckets.values():
-                for u in left:
-                    for v in right:
-                        rows[u] |= 1 << v
-                        rows[v] |= 1 << u
+    for i, j in combinations(ground, 2):
+        sides = []
+        for a, b in ((i, j), (j, i)):
+            positions = [p for p, s in enumerate(subsets[a]) if b not in s]
+            keys = [tuple(vec[p] for p in positions) for vec in vecs]
+            sides.append(((a - 1) * side, keys))
+        classes: dict[tuple[int, ...], list[int]] = {}
+        for which, (off, keys) in enumerate(sides):
+            for r, key in enumerate(keys):
+                classes.setdefault(key, [0, 0])[which] |= 1 << (off + r)
+        for which, (off, keys) in enumerate(sides):
+            for r, key in enumerate(keys):
+                rows[off + r] |= classes[key][1 - which]
     return Graph(n, rows)
 
 
@@ -139,8 +132,4 @@ def clique_count_closed_form(k: int, q: int, m: int, j: int) -> int:
     _validate_params(k, q, m)
     if not 0 <= j <= q:
         raise ValueError(f"need 0 <= j <= q, got j={j}")
-
-    def comb0(a: int, b: int) -> int:
-        return comb(a, b) if 0 <= b <= a else 0
-
-    return comb(q, j) * m ** (comb(q, k) - comb0(q - j, k - j))
+    return comb(q, j) * m ** (comb(q, k) - (comb(q - j, k - j) if j <= k else 0))

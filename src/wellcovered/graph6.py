@@ -92,25 +92,18 @@ def _encode_n(n: int) -> bytes:
 def _decode_n(data: bytes) -> tuple[int, bytes]:
     if not data:
         raise Graph6Error("empty graph6 string")
-    b0 = data[0]
-    if b0 == 126:
-        if len(data) >= 2 and data[1] == 126:
-            chunk, rest = data[2:8], data[8:]
-            if len(chunk) != 6:
-                raise Graph6Error("truncated 8-byte vertex-count header")
-        else:
-            chunk, rest = data[1:4], data[4:]
-            if len(chunk) != 3:
-                raise Graph6Error("truncated 4-byte vertex-count header")
-        n = 0
-        for b in chunk:
-            if not 63 <= b <= 126:
-                raise Graph6Error(f"header byte {b} outside graph6 range")
-            n = n << 6 | (b - 63)
-        return n, rest
-    if not 63 <= b0 <= 126:
-        raise Graph6Error(f"header byte {b0} outside graph6 range")
-    return b0 - 63, data[1:]
+    # N(n) is one byte, or ~ and three bytes, or ~~ and six bytes
+    start = 2 if data[:2] == b"~~" else 1 if data[:1] == b"~" else 0
+    size = (1, 3, 6)[start]
+    chunk = data[start : start + size]
+    if len(chunk) != size:
+        raise Graph6Error(f"truncated {start + size}-byte vertex-count header")
+    n = 0
+    for b in chunk:
+        if not 63 <= b <= 126:
+            raise Graph6Error(f"header byte {b} outside graph6 range")
+        n = n << 6 | (b - 63)
+    return n, data[start + size :]
 
 
 def to_graph6(g: Graph) -> bytes:

@@ -33,6 +33,13 @@ from .graph6 import to_graph6
 from .polynomial import exact_str
 
 
+def _as_int(value) -> int:
+    # int() alone would truncate 1.5 and take true as 1
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"not an integer: {value!r}")
+    return int(value)
+
+
 def tail_indices(q: int) -> tuple[int, ...]:
     """The index set S = {ceil(q/2), ..., q}."""
     if q < 1:
@@ -59,14 +66,14 @@ class TailPermutation:
 
     @classmethod
     def from_mapping(cls, q: int, mapping: Mapping[int, int]) -> "TailPermutation":
-        return cls(q, tuple(sorted((int(t), int(v)) for t, v in mapping.items())))
+        return cls(q, tuple(sorted((_as_int(t), _as_int(v)) for t, v in mapping.items())))
 
     @classmethod
     def from_image_list(cls, q: int, images: Iterable[int]) -> "TailPermutation":
         """Images of S in increasing domain order, e.g. (3, 2) for the
         swap on {2, 3}."""
         s = tail_indices(q)
-        images = tuple(int(v) for v in images)
+        images = tuple(_as_int(v) for v in images)
         if len(images) != len(s):
             raise ValueError(
                 f"expected {len(s)} images for the tail set {list(s)}, got {len(images)}"
@@ -78,7 +85,7 @@ class TailPermutation:
         """Parse either a JSON map like {"2": 3, "3": 2} or an image list."""
         data = json.loads(text)
         if isinstance(data, dict):
-            return cls.from_mapping(q, {int(t): v for t, v in data.items()})
+            return cls.from_mapping(q, data)
         return cls.from_image_list(q, data)
 
     @property

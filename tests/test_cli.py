@@ -393,6 +393,17 @@ def test_realize_out_over_budget_is_refused(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_realize_out_write_failure_prints_nothing(tmp_path, capsys):
+    # the file is written before the report, so a failed write leaves
+    # stdout empty
+    out_path = tmp_path / "missing-dir" / "c.g6"
+    code, out, err = run(capsys, "realize", "-q", "2", "--pi", "2,1", "--out", str(out_path))
+    assert code == 3
+    assert out == ""
+    assert "missing-dir" in err
+    assert not out_path.exists()
+
+
 def test_realize_counts_past_int_str_digit_limit(capsys):
     # the q=12 plan has integers of about 4750 digits, past Python's
     # default int-to-str limit
@@ -417,6 +428,11 @@ def test_realize_invalid_pi(capsys):
     code, err = run_usage_error(capsys, "realize", "-q", "3", "--pi", "2,2")
     assert code == 4
     assert "bijection" in err
+    # ranks are integers: JSON floats and booleans are refused, not truncated
+    for pi in ("[1.5, 2]", "[true, 2]", '{"1": 2.9, "2": 1}', "1.0,2"):
+        code, err = run_usage_error(capsys, "realize", "-q", "2", "--pi", pi)
+        assert code == 4, pi
+        assert "wellcovered realize: error: invalid --pi: " in err, pi
 
 
 def test_usage_errors(capsys):

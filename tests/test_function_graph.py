@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 from math import comb
 
@@ -102,6 +103,22 @@ def test_adjacency_rule_matches_definition(k, q, m):
                 value(fu, s) == value(fv, s) for s in combinations(shared, k)
             )
             assert h.has_edge(u, v) == expected, (u, v, fu, fv)
+
+
+def test_large_function_graph_rows_pinned():
+    # the exact rows, in vertex order, of graphs far past the adjacency
+    # check above; clique counts alone would not see a relabeling
+    digests = {
+        (1, 3, 58): "f9f5891fb8897303ad9b57a8750ac8ab4864fd708b4cc14aaed985e4a9112914",
+        (2, 5, 3): "24c3cf9ed9ea1566f16e1b71084620dc58213fed2e14b883149bcc884fc80805",
+        (3, 5, 3): "9dcbdc7fefbd8af2230fc9515530792cfaa18afb7c6713f7ebb21afe05ebc1a3",
+        (1, 5, 4): "e9527f252d2cea7a2fe2fc159d12b5fdffebbe4bd301411d230f045537f2c20f",
+    }
+    for (k, q, m), digest in digests.items():
+        g = build_function_graph(k, q, m)
+        width = (g.n + 7) // 8
+        data = b"".join(r.to_bytes(width, "little") for r in g.rows)
+        assert hashlib.sha256(data).hexdigest() == digest, (k, q, m)
 
 
 def test_clique_of():

@@ -54,6 +54,15 @@ def test_permutation_validation():
         perm(3, 1, 2)  # images outside the tail set
     with pytest.raises(ValueError):
         TailPermutation.from_mapping(3, {1: 2, 2: 3})  # wrong domain
+    # ranks are ints or numeral strings: floats and booleans are refused,
+    # not truncated
+    for images in ([1.5, 2], [True, 2], [1.0, 2]):
+        with pytest.raises(ValueError):
+            TailPermutation.from_image_list(2, images)
+    for text in ("[1.5, 2]", "[true, 2]", '{"1": 2.9, "2": 1}', '{"1": 2, "2": false}'):
+        with pytest.raises(ValueError):
+            TailPermutation.from_json(2, text)
+    assert TailPermutation.from_image_list(2, ["2", "1"]) == perm(2, 2, 1)
 
 
 # -- targets and epsilon ---------------------------------------------------------
