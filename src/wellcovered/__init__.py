@@ -4,6 +4,9 @@ plans for prescribed coefficient sequences, and realization of arbitrary
 independence-sequence tail orderings."""
 
 from .certificate import (
+    EpsilonCertificate,
+    Plan,
+    PlanComponent,
     TargetSequence,
     b_decomposition,
     build_plan,
@@ -11,7 +14,6 @@ from .certificate import (
     choose_m,
     materialize,
     plan_at_m,
-    verify_certificate,
 )
 from .enumeration import (
     binomial_ratio_check,
@@ -47,9 +49,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BudgetExceededError",
+    "EpsilonCertificate",
     "FunctionVertex",
     "Graph",
     "Graph6Error",
+    "Plan",
+    "PlanComponent",
     "Polynomial",
     "TailPermutation",
     "TargetSequence",
@@ -80,7 +85,6 @@ __all__ = [
     "tail_indices",
     "target_from_permutation",
     "to_graph6",
-    "verify_certificate",
     "verify_on_graph",
     "vertex_count",
 ]

@@ -7,15 +7,16 @@ copies of the complement of the (j-1, q, m) function graph, whose scaled
 counts are exactly C(q,t) for t >= j and at most C(q,t)/m below.  Copy
 counts and the scale T are cleared to exact integers, the per-index
 deviations are exact rationals, and m is grown until every deviation is
-below the requested epsilon.
+below the requested epsilon.  A ``Plan`` is the join and its exact
+counts; an ``EpsilonCertificate`` measures a plan against a target.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, Iterable, Union
 
 from .enumeration import ChainCheck, check_ratio_chain
 from .errors import BudgetExceededError
@@ -115,86 +116,89 @@ class PlanComponent:
 
 
 @dataclass(frozen=True)
-class CertificatePlan:
-    """A symbolic certificate: components, scale T, exact predicted counts
-    for t = 1..q, and the per-index deviations |predicted_t/T - a_t|.
-
-    Low-order predicted counts (t <= k within a component) come from the
-    grid-validated closed form; they never exceed the m-fold coverage
-    bound scale_j * C(q,t) / m, so the epsilon check errs on neither side.
+class Plan:
+    """A join of components, each ``copies`` disjoint copies of the
+    complement of a (k, q, m) function graph; components may differ in k
+    and m.  ``predicted[t-1]`` is the join's exact independence count i_t
+    for t = 1..q: a join adds counts above degree 0, and the complement's
+    independent sets are the function graph's cliques, counted by the
+    grid-validated closed form.
     """
 
     q: int
-    epsilon: Fraction
-    m: int
     components: tuple[PlanComponent, ...]
-    scale: int
-    predicted: tuple[int, ...]
-    target: TargetSequence
-    deviations: tuple[Fraction, ...]
+    predicted: tuple[int, ...] = field(init=False)
 
-    @property
-    def certified(self) -> bool:
-        return all(d < self.epsilon for d in self.deviations)
+    def __post_init__(self):
+        object.__setattr__(self, "predicted", tuple(
+            sum(
+                c.copies * clique_count_closed_form(c.k, self.q, c.m, t)
+                for c in self.components
+            )
+            for t in range(1, self.q + 1)
+        ))
 
     def vertex_total(self) -> int:
         return sum(
             c.copies * vertex_count(c.k, self.q, c.m) for c in self.components
         )
 
+
+@dataclass(frozen=True)
+class EpsilonCertificate:
+    """The epsilon argument for a plan: the exact deviations
+    |predicted_t / scale - a_t| for t = 1..q, and whether all beat epsilon.
+
+    Low-order predicted counts (t <= k within a component) never exceed
+    the m-fold coverage bound scale_j * C(q,t) / m, so the check errs on
+    neither side.
+    """
+
+    plan: Plan
+    target: TargetSequence
+    scale: int
+    epsilon: Fraction
+    deviations: tuple[Fraction, ...] = field(init=False)
+
+    def __post_init__(self):
+        if self.epsilon <= 0:
+            raise ValueError("epsilon must be positive")
+        if self.scale <= 0:
+            raise ValueError("scale must be positive")
+        if self.plan.q != self.target.q:
+            raise ValueError(
+                f"plan has q = {self.plan.q}, target has q = {self.target.q}"
+            )
+        object.__setattr__(self, "deviations", tuple(
+            abs(Fraction(count, self.scale) - a)
+            for count, a in zip(self.plan.predicted, self.target.values)
+        ))
+
+    @property
+    def certified(self) -> bool:
+        return all(d < self.epsilon for d in self.deviations)
+
     def to_json(self) -> dict:
         return {
-            "q": self.q,
+            "q": self.plan.q,
             "epsilon": exact_str(self.epsilon),
             "components": [
                 {"k": c.k, "m": c.m, "copies": exact_str(c.copies)}
-                for c in self.components
+                for c in self.plan.components
             ],
             "T": exact_str(self.scale),
-            "predicted": [exact_str(p) for p in self.predicted],
+            "predicted": [exact_str(p) for p in self.plan.predicted],
             "deviations": [exact_str(d) for d in self.deviations],
             "low_order_counts": "closed-form, grid-validated; at or below the m-fold coverage bound",
         }
 
 
-class CertificateCheck(NamedTuple):
-    """Outcome of an epsilon-certificate verification, with the exact
-    deviation at every index."""
-
-    ok: bool
-    deviations: tuple[Fraction, ...]
-
-
-def verify_certificate(
-    counts: Sequence[int],
-    scale: int,
-    target: TargetSequence,
-    epsilon: RationalLike,
-) -> CertificateCheck:
-    """Exact rational check of |counts_t / scale - a_t| < epsilon for all
-    t = 1..q; counts[t-1] holds the count at index t."""
-    eps = _as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if len(counts) != target.q:
-        raise ValueError(
-            f"expected {target.q} counts, got {len(counts)}"
-        )
-    deviations = tuple(
-        abs(Fraction(counts[t - 1], scale) - target.a(t))
-        for t in range(1, target.q + 1)
-    )
-    return CertificateCheck(all(d < eps for d in deviations), deviations)
-
-
 def plan_at_m(
-    decomp: BDecomposition, m: int, epsilon: RationalLike
-) -> CertificatePlan:
-    """Build the symbolic plan for the decomposed target at a fixed m,
-    without enforcing that the deviations beat epsilon (build_plan finds
-    the m).
+    decomp: BDecomposition, m: int, epsilon: Fraction
+) -> EpsilonCertificate:
+    """Build the symbolic plan for the decomposed target at a fixed m and
+    its epsilon certificate, without enforcing that the deviations beat
+    epsilon (build_plan finds the m).
 
     One component per nonzero b_j: the complement of the (j-1, q, m)
     function graph carries scale_j = m^C(q,j-1), and clearing denominators
@@ -204,9 +208,6 @@ def plan_at_m(
     """
     if m < 1:
         raise ValueError("m must be positive")
-    eps = _as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
     target = decomp.target
     q = target.q
     selected = [(j, bj) for j, bj in enumerate(decomp.b, start=1) if bj > 0]
@@ -224,17 +225,7 @@ def plan_at_m(
         if copies.denominator != 1:
             raise AssertionError(f"copy count {copies} for j={j} is not an integer")
         components.append(PlanComponent(j - 1, m, int(copies)))
-    predicted = tuple(
-        sum(
-            c.copies * clique_count_closed_form(c.k, q, m, t)
-            for c in components
-        )
-        for t in range(1, q + 1)
-    )
-    check = verify_certificate(predicted, scale, target, eps)
-    return CertificatePlan(
-        q, eps, m, tuple(components), scale, predicted, target, check.deviations
-    )
+    return EpsilonCertificate(Plan(q, tuple(components)), target, scale, epsilon)
 
 
 def _certification_test(
@@ -285,7 +276,7 @@ def build_plan(
     epsilon: RationalLike,
     *,
     m_cap: int = DEFAULT_M_CAP,
-) -> CertificatePlan:
+) -> EpsilonCertificate:
     """Certified plan at the smallest workable m.
 
     Starts from the smallest m with 2^q/m < epsilon, doubles m (the
@@ -298,11 +289,10 @@ def build_plan(
     a sum of non-negative terms b_j / m^e with e >= 1, so it never
     increases as m grows (and strictly falls while some b_j > 0 sits
     above t), which is what the bisection needs.  ``plan_at_m`` runs once,
-    at the m found; the reported plan and its deviations come from its
-    exact predicted counts through ``verify_certificate``, and a plan that
-    route does not certify is an internal invariant failure
-    (AssertionError).  Raises BudgetExceededError when no m <= ``m_cap``
-    is certified.
+    at the m found; the reported deviations come from the plan's exact
+    predicted counts, and a certificate they do not certify is an
+    internal invariant failure (AssertionError).  Raises
+    BudgetExceededError when no m <= ``m_cap`` is certified.
     """
     eps = _as_fraction(epsilon)
     if eps <= 0:
@@ -325,17 +315,17 @@ def build_plan(
             high = mid
         else:
             low = mid
-    plan = plan_at_m(decomp, high, eps)
-    if not plan.certified:
+    certificate = plan_at_m(decomp, high, eps)
+    if not certificate.certified:
         raise AssertionError(
             f"integer probe certified m={high} but the plan's deviations do not "
             f"beat epsilon {exact_str(eps)}"
         )
-    return plan
+    return certificate
 
 
 def materialize(
-    plan: CertificatePlan, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
+    plan: Plan, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> Graph:
     """Join of all planned copies, in plan order.
 

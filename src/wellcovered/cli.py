@@ -126,14 +126,14 @@ def _read_graph(path: str) -> Graph:
 def _cmd_construct(args) -> int:
     g = build_function_graph(args.k, args.q, args.m, vertex_budget=args.budget)
     line = to_graph6(g)
+    if args.labels:  # written first, so a failed write leaves no graph out
+        labels = function_vertices(args.k, args.q, args.m)
+        sidecar = [[lab.i, list(lab.values)] for lab in labels]
+        Path(args.labels).write_text(json.dumps(sidecar))
     if args.out:
         Path(args.out).write_bytes(line + b"\n")
     else:
         print(line.decode("ascii"))
-    if args.labels:
-        labels = function_vertices(args.k, args.q, args.m)
-        sidecar = [[lab.i, list(lab.values)] for lab in labels]
-        Path(args.labels).write_text(json.dumps(sidecar))
     return EXIT_OK
 
 

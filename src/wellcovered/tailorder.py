@@ -20,7 +20,8 @@ from typing import Iterable, Mapping, Optional
 
 from .certificate import (
     DEFAULT_M_CAP,
-    CertificatePlan,
+    EpsilonCertificate,
+    Plan,
     TargetSequence,
     build_plan,
     check_binomial_chain,
@@ -139,9 +140,6 @@ class GraphCheck:
     ok: bool
     reason: Optional[str] = None
 
-    def __bool__(self) -> bool:
-        return self.ok
-
 
 @dataclass(frozen=True)
 class RealizationReport:
@@ -153,12 +151,14 @@ class RealizationReport:
     signal an internal failure, not a user error.
     """
 
-    plan: CertificatePlan
-    target: TargetSequence
-    epsilon: Fraction
+    certificate: EpsilonCertificate
     chain: tuple[tuple[int, int], ...]
     ordering_verified: bool
     graph: Optional[Graph] = None
+
+    @property
+    def plan(self) -> Plan:
+        return self.certificate.plan
 
     @property
     def materialized(self) -> bool:
@@ -166,9 +166,9 @@ class RealizationReport:
 
     def to_json(self) -> dict:
         out = {
-            "plan": self.plan.to_json(),
-            "target": self.target.to_json(),
-            "epsilon": exact_str(self.epsilon),
+            "plan": self.certificate.to_json(),
+            "target": self.certificate.target.to_json(),
+            "epsilon": exact_str(self.certificate.epsilon),
             "ordering_verified": self.ordering_verified,
             "ordering": [t for t, _ in self.chain],
             "counts": [exact_str(c) for _, c in self.chain],
@@ -192,7 +192,8 @@ def realize(
     """
     target = target_from_permutation(p)
     eps = epsilon_from_target(target, p.domain)
-    plan = build_plan(target, eps, m_cap=m_cap)
+    certificate = build_plan(target, eps, m_cap=m_cap)
+    plan = certificate.plan
     by_rank = sorted(p.domain, key=p.pi)
     chain = tuple((t, plan.predicted[t - 1]) for t in by_rank)
     ordering_verified = all(
@@ -201,7 +202,7 @@ def realize(
     graph = None
     if plan.vertex_total() <= vertex_budget:
         graph = materialize(plan, vertex_budget=vertex_budget)
-    return RealizationReport(plan, target, eps, chain, ordering_verified, graph)
+    return RealizationReport(certificate, chain, ordering_verified, graph)
 
 
 def verify_on_graph(g: Graph, p: TailPermutation) -> GraphCheck:

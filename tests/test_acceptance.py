@@ -70,7 +70,7 @@ def materialized_graphs():
         report = realize(p)
         assert report.materialized
         out[name] = (report.graph, report.plan, p)
-    forced = plan_at_m(b_decomposition(TargetSequence.of(3, [3, 11, 10])), 3, THIRD)
+    forced = plan_at_m(b_decomposition(TargetSequence.of(3, [3, 11, 10])), 3, THIRD).plan
     out["q3-forced-m3"] = (materialize(forced), forced, None)
     return out
 
@@ -170,8 +170,8 @@ def test_criterion_6_q3_realizations():
         assert report.ordering_verified, images
 
     report = realize(TailPermutation.from_image_list(3, (3, 2)), vertex_budget=1)
-    plan = report.plan
-    m = plan.m
+    cert = report.certificate
+    (m,) = {c.m for c in cert.plan.components}
 
     # independent re-derivation of the swap plan: T = 3 m^3 and copies
     # (3m^2, 8, 19) follow from the increment decomposition of (3, 11, 10);
@@ -182,10 +182,10 @@ def test_criterion_6_q3_realizations():
         if max(Fraction(8, mm) + Fraction(19, mm**2), Fraction(19, mm)) < THIRD
     )
     assert m == expected_m == 58
-    assert [(c.k, c.copies) for c in plan.components] == [(0, 3 * m**2), (1, 8), (2, 19)]
-    assert plan.scale == 3 * m**3
-    assert max(plan.deviations) == Fraction(19, 58)
-    assert plan.deviations[1] == Fraction(19, m)
+    assert [(c.k, c.copies) for c in cert.plan.components] == [(0, 3 * m**2), (1, 8), (2, 19)]
+    assert cert.scale == 3 * m**3
+    assert max(cert.deviations) == Fraction(19, 58)
+    assert cert.deviations[1] == Fraction(19, m)
 
     elapsed = time.monotonic() - start
     print(f"\nACCEPTANCE 6 PASS ({elapsed:.1f}s): both q=3 tail orders "

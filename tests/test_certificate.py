@@ -6,6 +6,9 @@ import pytest
 
 from wellcovered import (
     BudgetExceededError,
+    EpsilonCertificate,
+    Plan,
+    PlanComponent,
     TargetSequence,
     b_decomposition,
     build_plan,
@@ -16,7 +19,6 @@ from wellcovered import (
     is_well_covered,
     materialize,
     plan_at_m,
-    verify_certificate,
 )
 
 THIRD = Fraction(1, 3)
@@ -104,42 +106,45 @@ def test_choose_m():
 def test_build_plan_q3_swap_rederived():
     # independent re-derivation: T = 3 m^3, copies (3m^2, 8, 19), and the
     # deviations (8/m + 19/m^2, 19/m, 0) first all beat 1/3 at m = 58
-    plan = build_plan(target(3, [3, 11, 10]), THIRD)
-    m = plan.m
+    cert = build_plan(target(3, [3, 11, 10]), THIRD)
+    (m,) = {c.m for c in cert.plan.components}
     assert m == 58
-    assert plan.scale == 3 * m**3
-    assert [(c.k, c.copies) for c in plan.components] == [
+    assert cert.scale == 3 * m**3
+    assert [(c.k, c.copies) for c in cert.plan.components] == [
         (0, 3 * m**2),
         (1, 8),
         (2, 19),
     ]
-    assert plan.deviations == (
+    assert cert.deviations == (
         Fraction(8, m) + Fraction(19, m**2),
         Fraction(19, m),
         Fraction(0),
     )
-    assert max(plan.deviations) == Fraction(19, 58)
-    assert plan.certified
+    assert max(cert.deviations) == Fraction(19, 58)
+    assert cert.certified
 
 
 def test_build_plan_q3_identity():
-    plan = build_plan(target(3, [3, 10, 11]), THIRD)
-    assert plan.m == 70
-    assert [(c.k, c.copies) for c in plan.components] == [(0, 3 * 70**2), (1, 7), (2, 23)]
-    assert max(plan.deviations) == Fraction(23, 70)
+    cert = build_plan(target(3, [3, 10, 11]), THIRD)
+    assert [(c.k, c.m, c.copies) for c in cert.plan.components] == [
+        (0, 70, 3 * 70**2),
+        (1, 70, 7),
+        (2, 70, 23),
+    ]
+    assert max(cert.deviations) == Fraction(23, 70)
 
 
 def test_build_plan_exact_fit():
     # the scaled q-clique profile needs one component and has zero error
-    plan = build_plan(target(3, [3, 3, 1]), THIRD)
-    assert [(c.k, c.copies) for c in plan.components] == [(0, 1)]
-    assert plan.m == choose_m(3, THIRD) == 25
-    assert plan.scale == 25
-    assert plan.deviations == (Fraction(0), Fraction(0), Fraction(0))
+    cert = build_plan(target(3, [3, 3, 1]), THIRD)
+    assert [(c.k, c.m, c.copies) for c in cert.plan.components] == [(0, 25, 1)]
+    assert choose_m(3, THIRD) == 25
+    assert cert.scale == 25
+    assert cert.deviations == (Fraction(0), Fraction(0), Fraction(0))
 
 
 def test_plan_predicted_counts_are_component_sums():
-    plan = build_plan(target(3, [3, 11, 10]), THIRD)
+    plan = build_plan(target(3, [3, 11, 10]), THIRD).plan
     for t in range(1, 4):
         expected = sum(
             c.copies * clique_count_closed_form(c.k, 3, c.m, t)
@@ -183,34 +188,41 @@ def test_build_plan_errors():
         build_plan(target(3, [3, 11, 10]), THIRD, m_cap=40)
 
 
-# -- verify_certificate --------------------------------------------------------
+# -- epsilon certificates ----------------------------------------------------------
+
+# one complement of the (1, 3, 2) function graph: counts (12, 24, 8)
+SMALL_PLAN = Plan(3, (PlanComponent(1, 2, 1),))
 
 
-def test_verify_certificate_exact():
+def test_epsilon_certificate_exact():
+    assert SMALL_PLAN.predicted == (12, 24, 8)
     tgt = target(3, [Fraction(3, 2), 3, 1])
-    check = verify_certificate([12, 24, 8], 8, tgt, Fraction(1, 100))
-    assert check.ok
-    assert check.deviations == (Fraction(0), Fraction(0), Fraction(0))
+    cert = EpsilonCertificate(SMALL_PLAN, tgt, 8, Fraction(1, 100))
+    assert cert.certified
+    assert cert.deviations == (Fraction(0), Fraction(0), Fraction(0))
+    # deviations are absolute: a target above the counts is missed too
+    above = EpsilonCertificate(SMALL_PLAN, target(3, [2, 3, 1]), 8, Fraction(1, 100))
+    assert above.deviations == (Fraction(1, 2), Fraction(0), Fraction(0))
+    assert not above.certified
 
 
-def test_verify_certificate_epsilon_sensitivity():
-    plan = build_plan(target(3, [3, 11, 10]), THIRD)
-    ok_third = verify_certificate(plan.predicted, plan.scale, plan.target, THIRD)
-    assert ok_third.ok
-    quarter = verify_certificate(plan.predicted, plan.scale, plan.target, Fraction(1, 4))
-    assert not quarter.ok
+def test_epsilon_certificate_sensitivity():
+    cert = build_plan(target(3, [3, 11, 10]), THIRD)
+    assert EpsilonCertificate(cert.plan, cert.target, cert.scale, THIRD).certified
+    quarter = EpsilonCertificate(cert.plan, cert.target, cert.scale, Fraction(1, 4))
+    assert not quarter.certified
     # fails exactly at index 2: 19/58 > 1/4 while the index-1 deviation passes
     assert quarter.deviations[0] < Fraction(1, 4) < quarter.deviations[1]
 
 
-def test_verify_certificate_validation():
-    tgt = target(2, [1, 2])
+def test_epsilon_certificate_validation():
+    tgt = target(3, [1, 2, 3])
     with pytest.raises(ValueError):
-        verify_certificate([1], 1, tgt, THIRD)
+        EpsilonCertificate(SMALL_PLAN, target(2, [1, 2]), 1, THIRD)
     with pytest.raises(ValueError):
-        verify_certificate([1, 2], 0, tgt, THIRD)
+        EpsilonCertificate(SMALL_PLAN, tgt, 0, THIRD)
     with pytest.raises(ValueError):
-        verify_certificate([1, 2], 1, tgt, 0)
+        EpsilonCertificate(SMALL_PLAN, tgt, 1, 0)
 
 
 # -- materialization -------------------------------------------------------------
@@ -219,7 +231,7 @@ def test_verify_certificate_validation():
 def test_materialize_trivial_plan():
     # with m forced to 1 the single component is the complement of one
     # complete graph: the empty graph on q vertices, an exact certificate
-    plan = plan_at_m(b_decomposition(target(3, [3, 3, 1])), 1, THIRD)
+    plan = plan_at_m(b_decomposition(target(3, [3, 3, 1])), 1, THIRD).plan
     g = materialize(plan)
     assert g.n == 3 and g.edge_count() == 0
     assert list(independence_polynomial(g)) == [1, 3, 3, 1]
@@ -233,7 +245,7 @@ def test_materialized_counts_match_predictions():
         (target(3, [3, 11, 10]), 3),
     ]
     for tgt, m in cases:
-        plan = plan_at_m(b_decomposition(tgt), m, THIRD)
+        plan = plan_at_m(b_decomposition(tgt), m, THIRD).plan
         g = materialize(plan)
         assert g.n == plan.vertex_total()
         poly = independence_polynomial(g)
@@ -243,7 +255,7 @@ def test_materialized_counts_match_predictions():
 
 
 def test_materialize_budget():
-    plan = build_plan(target(2, [6, 5]), THIRD)
+    plan = build_plan(target(2, [6, 5]), THIRD).plan
     assert plan.vertex_total() == 1066
     with pytest.raises(BudgetExceededError) as err:
         materialize(plan, vertex_budget=100)
@@ -251,11 +263,14 @@ def test_materialize_budget():
 
 
 def test_plan_json_schema():
-    plan = build_plan(target(3, [3, 11, 10]), THIRD)
-    data = plan.to_json()
+    cert = build_plan(target(3, [3, 11, 10]), THIRD)
+    data = cert.to_json()
+    assert list(data) == [
+        "q", "epsilon", "components", "T", "predicted", "deviations", "low_order_counts"
+    ]
     assert data["q"] == 3
     assert data["epsilon"] == "1/3"
     assert data["T"] == str(3 * 58**3)
     assert data["components"][0] == {"k": 0, "m": 58, "copies": str(3 * 58**2)}
-    assert data["predicted"] == [str(p) for p in plan.predicted]
+    assert data["predicted"] == [str(p) for p in cert.plan.predicted]
     assert data["deviations"][1] == "19/58"

@@ -1,8 +1,10 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
 from decimal import Decimal
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from wellcovered import (
     build_function_graph,
     complete,
     from_graph6,
+    tail_indices,
     to_graph6,
 )
 from wellcovered.cli import main
@@ -69,6 +72,20 @@ def test_construct_k0_label_sidecar(tmp_path, capsys):
     )
     assert code == 0
     assert sidecar.read_text() == "[[1, [1]], [2, [1]], [3, [1]], [1, [2]], [2, [2]], [3, [2]]]"
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out-file"])
+def test_construct_labels_write_failure_leaves_no_graph(tmp_path, capsys, to_file):
+    # the sidecar is written first, so a failed write leaves no graph6
+    # on stdout or in the --out file
+    out = tmp_path / "ok.g6"
+    argv = ["construct", "-k", "1", "-q", "3", "-m", "2",
+            "--labels", str(tmp_path / "missing-dir" / "l.json")]
+    code, stdout, err = run(capsys, *argv, *(["--out", str(out)] if to_file else []))
+    assert code == 3
+    assert stdout == ""
+    assert "missing-dir" in err
+    assert not out.exists()
 
 
 def child_env():
@@ -416,6 +433,34 @@ def test_realize_counts_past_int_str_digit_limit(capsys):
     counts = [Decimal(c) for c in data["counts"]]
     assert max(len(c) for c in data["counts"]) > limit
     assert all(a < b for a, b in zip(counts, counts[1:]))
+
+
+def realize_pin_cases():
+    """Every tail permutation for q = 1..6 (41 of them), then identity,
+    reversal and a rotation by one for each q = 7..13."""
+    cases = [(q, p) for q in range(1, 7) for p in permutations(tail_indices(q))]
+    for q in range(7, 14):
+        s = tail_indices(q)
+        cases += [(q, s), (q, s[::-1]), (q, s[1:] + s[:1])]
+    return cases
+
+
+# sha256 of the concatenated stdout of every case, in order, json then text
+REALIZE_STDOUT_SHA256 = "e2dd2796d312aef40884efd0b17c853967a1ceb0c1ea33e89353f58ed128b178"
+
+
+def test_realize_stdout_pinned(capsys):
+    # the q = 2 cases embed the materialized certificate as graph6
+    digest = hashlib.sha256()
+    cases = realize_pin_cases()
+    assert len(cases) == 41 + 3 * 7
+    for q, images in cases:
+        for fmt in ("json", "text"):
+            pi = ",".join(map(str, images))
+            code, out, _ = run(capsys, "realize", "-q", str(q), "--pi", pi, "--format", fmt)
+            assert code == 0, (q, images, fmt)
+            digest.update(out.encode("ascii"))
+    assert digest.hexdigest() == REALIZE_STDOUT_SHA256
 
 
 def test_realize_pi_json_map(capsys):

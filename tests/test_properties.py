@@ -3,7 +3,8 @@ random nested joins and disjoint unions of small graphs.  Such graphs keep
 ``independence_polynomial`` splitting into components and co-components
 at every depth; the references are the subset-enumeration oracles.  Also
 the graph6 round trip against the bit-at-a-time codec, the plan search
-against a scan of every m, and the enumeration order and clique extension
+against a scan of every m, materialized plans of mixed k and m against
+their predicted counts, and the enumeration order and clique extension
 witnesses against the recursive references on random graphs."""
 
 from fractions import Fraction
@@ -17,6 +18,8 @@ from hypothesis import strategies as st
 from wellcovered import (
     BudgetExceededError,
     Graph,
+    Plan,
+    PlanComponent,
     Polynomial,
     TargetSequence,
     build_plan,
@@ -24,9 +27,12 @@ from wellcovered import (
     clique_polynomial,
     from_graph6,
     independence_polynomial,
+    is_well_covered,
     join,
+    materialize,
     maximal_cliques,
     to_graph6,
+    vertex_count,
 )
 
 import bruteforce
@@ -145,5 +151,31 @@ def test_build_plan_finds_the_smallest_certified_m(target, eps, m_cap):
         with pytest.raises(BudgetExceededError):
             build_plan(target, eps, m_cap=m_cap)
     else:
-        plan = build_plan(target, eps, m_cap=m_cap)
-        assert plan.m == expected and plan.certified
+        cert = build_plan(target, eps, m_cap=m_cap)
+        assert {c.m for c in cert.plan.components} == {expected} and cert.certified
+
+
+@st.composite
+def mixed_plans(draw) -> Plan:
+    """Joins of 1-3 components whose k and m may differ, q <= 4: each leaf
+    has at most 24 vertices, each component at most 3 copies, and the
+    join at most 60 vertices."""
+    q = draw(st.integers(1, 4))
+    leaves = [(k, m) for k in range(q) for m in range(1, 25) if vertex_count(k, q, m) <= 24]
+    component = st.builds(
+        lambda leaf, copies: PlanComponent(*leaf, copies),
+        st.sampled_from(leaves),
+        st.integers(1, 3),
+    )
+    components = st.lists(component, min_size=1, max_size=3).map(tuple)
+    return draw(components.map(lambda cs: Plan(q, cs)).filter(lambda p: p.vertex_total() <= 60))
+
+
+@settings(max_examples=100, deadline=None)
+@given(mixed_plans())
+def test_materialized_mixed_plan_matches_prediction(plan):
+    g = materialize(plan)
+    assert g.n == plan.vertex_total()
+    assert tuple(independence_polynomial(g)) == (1, *plan.predicted)
+    report = is_well_covered(g)
+    assert report.is_well_covered and report.alpha == plan.q

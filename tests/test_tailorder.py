@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 from wellcovered import (
+    EpsilonCertificate,
     TailPermutation,
     TargetSequence,
     build_function_graph,
@@ -15,7 +16,6 @@ from wellcovered import (
     realize,
     tail_indices,
     target_from_permutation,
-    verify_certificate,
     verify_on_graph,
 )
 
@@ -113,8 +113,8 @@ def test_epsilon_from_target():
 def test_realize_q3_swap():
     report = realize(perm(3, 3, 2), vertex_budget=1)
     assert report.ordering_verified
-    assert report.plan.m == 58
-    assert report.epsilon == Fraction(1, 3)
+    assert {c.m for c in report.plan.components} == {58}
+    assert report.certificate.epsilon == Fraction(1, 3)
     assert report.chain == ((3, 5853360), (2, 6630444))
     assert not report.materialized
     data = report.to_json()
@@ -154,14 +154,12 @@ def test_realize_all_small_tails_symbolic():
             p = TailPermutation.from_image_list(q, images)
             report = realize(p, vertex_budget=1)
             assert report.ordering_verified, (q, images)
-            ms.append(report.plan.m)
+            ms.extend(c.m for c in report.plan.components)
             # deviations stayed under a third of the minimal gap, so the
             # exact counts must repeat the target order; spot-check the
             # implication by re-verifying the certificate
-            check = verify_certificate(
-                report.plan.predicted, report.plan.scale, report.target, report.epsilon
-            )
-            assert check.ok
+            cert = report.certificate
+            assert EpsilonCertificate(cert.plan, cert.target, cert.scale, cert.epsilon).certified
         if q in PLAN_M_RANGE:
             assert (min(ms), max(ms)) == PLAN_M_RANGE[q], q
 
