@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .certificate import (
     DEFAULT_M_CAP,
@@ -98,6 +98,16 @@ class TailPermutation:
         if not 0 <= i < len(self.mapping):
             raise ValueError(f"index {t} not in the tail set")
         return self.mapping[i][1]
+
+    def by_rank(self) -> tuple[int, ...]:
+        """S in prescribed rank order, lowest rank first."""
+        return tuple(sorted(self.domain, key=self.pi))
+
+    def misordered(self, count: Callable[[int], int]) -> Optional[tuple[int, int]]:
+        """The first rank-adjacent pair (s, t) with count(s) >= count(t), or None."""
+        ranked = self.by_rank()
+        pairs = zip(ranked, ranked[1:])
+        return next(((s, t) for s, t in pairs if count(s) >= count(t)), None)
 
 
 def target_from_permutation(p: TailPermutation) -> TargetSequence:
@@ -194,11 +204,8 @@ def realize(
     eps = epsilon_from_target(target, p.domain)
     certificate = build_plan(target, eps, m_cap=m_cap)
     plan = certificate.plan
-    by_rank = sorted(p.domain, key=p.pi)
-    chain = tuple((t, plan.predicted[t - 1]) for t in by_rank)
-    ordering_verified = all(
-        chain[i][1] < chain[i + 1][1] for i in range(len(chain) - 1)
-    )
+    chain = tuple((t, plan.predicted[t - 1]) for t in p.by_rank())
+    ordering_verified = p.misordered(lambda t: plan.predicted[t - 1]) is None
     graph = None
     if plan.vertex_total() <= vertex_budget:
         graph = materialize(plan, vertex_budget=vertex_budget)
@@ -218,12 +225,12 @@ def verify_on_graph(g: Graph, p: TailPermutation) -> GraphCheck:
             False, f"independence number {report.alpha} != q = {p.q}"
         )
     poly = independence_polynomial(g)
-    by_rank = sorted(p.domain, key=p.pi)
-    for s, t in zip(by_rank, by_rank[1:]):
-        if not poly.coefficient(s) < poly.coefficient(t):
-            return GraphCheck(
-                False,
-                f"ordering violated: i_{s} = {poly.coefficient(s)} "
-                f"!< i_{t} = {poly.coefficient(t)}",
-            )
+    bad = p.misordered(poly.coefficient)
+    if bad is not None:
+        s, t = bad
+        return GraphCheck(
+            False,
+            f"ordering violated: i_{s} = {poly.coefficient(s)} "
+            f"!< i_{t} = {poly.coefficient(t)}",
+        )
     return GraphCheck(True, None)

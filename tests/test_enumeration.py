@@ -6,6 +6,8 @@ import pytest
 from wellcovered import enumeration
 from wellcovered import (
     Graph,
+    Plan,
+    PlanComponent,
     Polynomial,
     binomial_ratio_check,
     build_function_graph,
@@ -17,6 +19,8 @@ from wellcovered import (
     disjoint_copies,
     independence_polynomial,
     is_well_covered,
+    join,
+    materialize,
     maximal_cliques,
     maximal_independent_sets,
 )
@@ -66,8 +70,9 @@ def test_polynomial_past_memo_cap(monkeypatch, cap):
 def test_dense_node_keeps_decompositions():
     # complement of K_40 with a pendant path 40..159 hanging off vertex 0:
     # its independent sets are the cliques of K_40 plus the path's
-    # vertices and edges, over 2^40 sets, so the dense nodes must keep
-    # splitting into components and co-components instead of walking them
+    # vertices and edges, over 2^40 sets, so the dense rule's terms must
+    # keep splitting into components (the K_40 part into singletons, folded
+    # into one factor) instead of walking them
     edges = [(i, j) for i in range(40) for j in range(i + 1, 40)]
     edges.append((0, 40))
     edges.extend((i, i + 1) for i in range(40, 159))
@@ -76,6 +81,23 @@ def test_dense_node_keeps_decompositions():
     coeffs[1] += 120
     coeffs[2] += 120
     assert independence_polynomial(complement(h)) == Polynomial(coeffs)
+
+
+def test_independence_polynomial_builds_no_complement(monkeypatch):
+    # a join splits inside the dense rule, so no complement is needed:
+    # neither on a certificate of mixed k nor on a dense join of sparse parts
+    plan = Plan(3, (PlanComponent(0, 1, 2), PlanComponent(1, 2, 1), PlanComponent(2, 3, 1)))
+    certificate = materialize(plan)
+    rng = Random(11)
+    sparse_join = join([bruteforce.random_graph(rng, 9, 0.2) for _ in range(2)])
+    expected = independence_polynomial_bruteforce(sparse_join)
+
+    def refuse(g):
+        raise AssertionError("independence_polynomial built a complement")
+
+    monkeypatch.setattr(enumeration, "complement", refuse)
+    assert tuple(independence_polynomial(certificate)) == (1, *plan.predicted)
+    assert independence_polynomial(sparse_join) == expected
 
 
 def test_bruteforce_oracle_bound():

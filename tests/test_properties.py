@@ -1,7 +1,8 @@
 """Property tests of the structural rules the enumerator relies on, on
 random nested joins and disjoint unions of small graphs.  Such graphs keep
-``independence_polynomial`` splitting into components and co-components
-at every depth; the references are the subset-enumeration oracles.  Also
+``independence_polynomial`` splitting at every depth: a union into its
+components, a join through the dense rule, whose terms each lie inside
+one part; the references are the subset-enumeration oracles.  Also
 the graph6 round trip against the bit-at-a-time codec, the plan search
 against a scan of every m, materialized plans of mixed k and m against
 their predicted counts, and the enumeration order and clique extension

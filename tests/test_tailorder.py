@@ -171,6 +171,14 @@ def test_ordering_semantics_match_rank_reading():
     assert counts[3] < counts[4] < counts[2]
 
 
+def test_tail_order_check():
+    p = perm(5, 5, 3, 4)  # pi(3) = 5, pi(4) = 3, pi(5) = 4
+    assert p.by_rank() == (4, 5, 3)
+    assert p.misordered({3: 30, 4: 10, 5: 20}.get) is None
+    assert p.misordered({3: 30, 4: 20, 5: 20}.get) == (4, 5)  # a tie is out of order
+    assert p.misordered({3: 10, 4: 10, 5: 20}.get) == (5, 3)
+
+
 # -- verify_on_graph ---------------------------------------------------------
 
 
@@ -179,7 +187,7 @@ def test_verify_on_graph_examples():
     assert verify_on_graph(g, perm(3, 3, 2)).ok
     check = verify_on_graph(g, perm(3, 2, 3))
     assert not check.ok
-    assert "ordering" in check.reason
+    assert check.reason == "ordering violated: i_2 = 24 !< i_3 = 8"
 
     from wellcovered import Graph
 
