@@ -154,17 +154,12 @@ def _cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _parse_pi(q: int, text: str) -> TailPermutation:
-    text = text.strip()
-    if text.startswith("{") or text.startswith("["):
-        return TailPermutation.from_json(q, text)
-    return TailPermutation.from_image_list(q, (part for part in text.split(",")))
-
-
 def _cmd_realize(args) -> int:
+    if args.q < 1:
+        args.parser.error("-q must be at least 1")
     try:
-        perm = _parse_pi(args.q, args.pi)
-    except (ValueError, json.JSONDecodeError) as exc:
+        perm = TailPermutation.parse(args.q, args.pi)
+    except ValueError as exc:
         args.parser.error(f"invalid --pi: {exc}")
     report = realize(perm, vertex_budget=args.budget, m_cap=args.mcap)
     if args.out and report.graph is None:

@@ -13,7 +13,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
-from math import comb, prod
+from math import comb
 from numbers import Rational
 from typing import Callable, Iterator, NamedTuple, Optional
 
@@ -176,8 +176,6 @@ def independence_polynomial(g: Graph) -> Polynomial:
     """
     rows = g.rows
     n = g.n
-    if n == 0:
-        return Polynomial([1])
     memo: dict[int, tuple[int, ...]] = {}
 
     def solve(mask: int) -> tuple[int, ...]:
@@ -193,9 +191,10 @@ def independence_polynomial(g: Graph) -> Polynomial:
         if len(comps) > 1:
             big = [c for c in comps if c & (c - 1)]
             singles = len(comps) - len(big)
-            factor = Polynomial([comb(singles, t) for t in range(singles + 1)])
-            factors = (Polynomial(solve(c)) for c in big)
-            out = prod(factors, start=factor).coeffs
+            product = Polynomial([comb(singles, t) for t in range(singles + 1)])
+            for c in big:  # not math.prod: its C frame per level meets 3.12's C recursion cap
+                product *= Polynomial(solve(c))
+            out = product.coeffs
         else:
             # connected: the edge count picks the rule
             pivot = -1

@@ -16,7 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional
 
 from .certificate import (
     DEFAULT_M_CAP,
@@ -50,43 +50,45 @@ def tail_indices(q: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class TailPermutation:
-    """A bijection pi of the tail index set S onto itself, stored as
-    (t, pi(t)) pairs sorted by t."""
+    """A bijection pi of the tail index set S onto itself, stored as its
+    images pi(t) for t in S ascending."""
 
     q: int
-    mapping: tuple[tuple[int, int], ...]
+    images: tuple[int, ...]
 
     def __post_init__(self):
         s = tail_indices(self.q)
-        domain = tuple(t for t, _ in self.mapping)
-        images = sorted(v for _, v in self.mapping)
-        if domain != s or images != list(s):
+        if len(self.images) != len(s):
             raise ValueError(
-                f"not a bijection of the tail set {list(s)}: {dict(self.mapping)}"
+                f"expected {len(s)} images for the tail set {list(s)}, got {len(self.images)}"
             )
-
-    @classmethod
-    def from_mapping(cls, q: int, mapping: Mapping[int, int]) -> "TailPermutation":
-        return cls(q, tuple(sorted((_as_int(t), _as_int(v)) for t, v in mapping.items())))
+        if sorted(self.images) != list(s):
+            raise ValueError(
+                f"not a bijection of the tail set {list(s)}: {dict(zip(s, self.images))}"
+            )
 
     @classmethod
     def from_image_list(cls, q: int, images: Iterable[int]) -> "TailPermutation":
         """Images of S in increasing domain order, e.g. (3, 2) for the
         swap on {2, 3}."""
-        s = tail_indices(q)
-        images = tuple(_as_int(v) for v in images)
-        if len(images) != len(s):
-            raise ValueError(
-                f"expected {len(s)} images for the tail set {list(s)}, got {len(images)}"
-            )
-        return cls(q, tuple(zip(s, images)))
+        return cls(q, tuple(_as_int(v) for v in images))
 
     @classmethod
-    def from_json(cls, q: int, text: str) -> "TailPermutation":
-        """Parse either a JSON map like {"2": 3, "3": 2} or an image list."""
-        data = json.loads(text)
-        if isinstance(data, dict):
-            return cls.from_mapping(q, data)
+    def parse(cls, q: int, text: str) -> "TailPermutation":
+        """Read ``--pi`` text: an image list ``3,2``, a JSON list ``[3, 2]``
+        or a JSON map ``{"2": 3, "3": 2}`` from t to pi(t)."""
+        text = text.strip()
+        if not text.startswith(("{", "[")):
+            return cls.from_image_list(q, text.split(","))
+        # a map arrives as its (key, value) pairs, so a repeated key shows
+        data = json.loads(text, object_pairs_hook=tuple)
+        if isinstance(data, tuple):
+            pairs = sorted(((_as_int(t), v) for t, v in data), key=lambda pair: pair[0])
+            keys = [t for t, _ in pairs]
+            s = list(tail_indices(q))
+            if keys != s:
+                raise ValueError(f"map keys {keys} are not the tail set {s}")
+            data = [v for _, v in pairs]
         return cls.from_image_list(q, data)
 
     @property
@@ -94,10 +96,10 @@ class TailPermutation:
         return tail_indices(self.q)
 
     def pi(self, t: int) -> int:
-        i = t - self.mapping[0][0]
-        if not 0 <= i < len(self.mapping):
+        i = t - (self.q + 1) // 2
+        if not 0 <= i < len(self.images):
             raise ValueError(f"index {t} not in the tail set")
-        return self.mapping[i][1]
+        return self.images[i]
 
     def by_rank(self) -> tuple[int, ...]:
         """S in prescribed rank order, lowest rank first."""

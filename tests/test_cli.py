@@ -464,9 +464,13 @@ def test_realize_stdout_pinned(capsys):
 
 
 def test_realize_pi_json_map(capsys):
-    code, out, _ = run(capsys, "realize", "-q", "3", "--pi", '{"2":3,"3":2}')
-    assert code == 0
-    assert json.loads(out)["ordering"] == [3, 2]
+    # every spelling of the swap on {2, 3} prints what --pi 3,2 prints
+    _, expected, _ = run(capsys, "realize", "-q", "3", "--pi", "3,2")
+    assert json.loads(expected)["ordering"] == [3, 2]
+    for pi in (" 3 , 2 ", "[3,2]", '["3","2"]', '{"2":3,"3":2}', '{"3":2,"2":3}'):
+        code, out, _ = run(capsys, "realize", "-q", "3", "--pi", pi)
+        assert code == 0, pi
+        assert out == expected, pi
 
 
 def test_realize_invalid_pi(capsys):
@@ -478,6 +482,17 @@ def test_realize_invalid_pi(capsys):
         code, err = run_usage_error(capsys, "realize", "-q", "2", "--pi", pi)
         assert code == 4, pi
         assert "wellcovered realize: error: invalid --pi: " in err, pi
+    for pi in ("3,2,", '{"2":3}', '{"2":3,"02":2,"3":2}', '{"2":3,"2":2,"3":2}'):
+        code, err = run_usage_error(capsys, "realize", "-q", "3", "--pi", pi)
+        assert code == 4, pi
+        assert "wellcovered realize: error: invalid --pi: " in err, pi
+    assert "map keys [2, 2, 3] are not the tail set [2, 3]" in err  # the repeat shows
+
+
+def test_realize_bad_q_is_a_q_error(capsys):
+    code, err = run_usage_error(capsys, "realize", "-q", "0", "--pi", "1")
+    assert code == 4
+    assert "wellcovered realize: error: -q must be at least 1" in err
 
 
 def test_usage_errors(capsys):

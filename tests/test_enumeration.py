@@ -100,6 +100,15 @@ def test_independence_polynomial_builds_no_complement(monkeypatch):
     assert independence_polynomial(sparse_join) == expected
 
 
+def test_polynomial_of_long_path():
+    # i_k(P_n) = C(n + 1 - k, k); the recursion runs about n/2 component
+    # levels deep, past Python 3.12's C recursion limit if a level went
+    # through a C call such as math.prod
+    n = 1600
+    expected = [comb(n + 1 - k, k) for k in range((n + 1) // 2 + 1)]
+    assert list(independence_polynomial(path(n))) == expected
+
+
 def test_bruteforce_oracle_bound():
     with pytest.raises(ValueError):
         independence_polynomial_bruteforce(Graph(21, [0] * 21))

@@ -40,9 +40,9 @@ def test_permutation_construction():
         with pytest.raises(ValueError):
             p.pi(outside)
     assert p.domain == (2, 3)
-    assert TailPermutation.from_mapping(3, {2: 3, 3: 2}) == p
-    assert TailPermutation.from_json(3, '{"2": 3, "3": 2}') == p
-    assert TailPermutation.from_json(3, "[3, 2]") == p
+    assert TailPermutation.parse(3, " 3 , 2 ") == p
+    assert TailPermutation.parse(3, '{"2": 3, "3": 2}') == p
+    assert TailPermutation.parse(3, "[3, 2]") == p
 
 
 def test_permutation_validation():
@@ -53,7 +53,7 @@ def test_permutation_validation():
     with pytest.raises(ValueError):
         perm(3, 1, 2)  # images outside the tail set
     with pytest.raises(ValueError):
-        TailPermutation.from_mapping(3, {1: 2, 2: 3})  # wrong domain
+        TailPermutation.parse(3, '{"1": 2, "2": 3}')  # wrong domain
     # ranks are ints or numeral strings: floats and booleans are refused,
     # not truncated
     for images in ([1.5, 2], [True, 2], [1.0, 2]):
@@ -61,7 +61,7 @@ def test_permutation_validation():
             TailPermutation.from_image_list(2, images)
     for text in ("[1.5, 2]", "[true, 2]", '{"1": 2.9, "2": 1}', '{"1": 2, "2": false}'):
         with pytest.raises(ValueError):
-            TailPermutation.from_json(2, text)
+            TailPermutation.parse(2, text)
     assert TailPermutation.from_image_list(2, ["2", "1"]) == perm(2, 2, 1)
 
 
@@ -71,7 +71,7 @@ def test_permutation_validation():
 def test_target_from_permutation():
     assert target_from_permutation(perm(3, 2, 3)).values == (3, 10, 11)
     assert target_from_permutation(perm(3, 3, 2)).values == (3, 11, 10)
-    p4 = TailPermutation.from_mapping(4, {2: 4, 3: 2, 4: 3})
+    p4 = TailPermutation.parse(4, '{"2": 4, "3": 2, "4": 3}')
     assert target_from_permutation(p4).values == (4, 20, 18, 19)
 
 
