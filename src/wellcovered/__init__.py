@@ -10,7 +10,6 @@ from .certificate import (
     TargetSequence,
     b_decomposition,
     build_plan,
-    check_binomial_chain,
     choose_m,
     materialize,
     plan_at_m,
@@ -62,7 +61,6 @@ __all__ = [
     "binomial_ratio_check",
     "build_function_graph",
     "build_plan",
-    "check_binomial_chain",
     "check_clique_extension",
     "choose_m",
     "clique_count_closed_form",

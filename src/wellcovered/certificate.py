@@ -13,12 +13,13 @@ counts; an ``EpsilonCertificate`` measures a plan against a target.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
 from typing import Callable, Iterable, Union
 
-from .enumeration import ChainCheck, check_ratio_chain
+from .enumeration import check_ratio_chain
 from .errors import BudgetExceededError
 from .function_graph import (
     DEFAULT_VERTEX_BUDGET,
@@ -67,12 +68,6 @@ class TargetSequence:
         return [exact_str(v) for v in self.values]
 
 
-def check_binomial_chain(target: TargetSequence) -> ChainCheck:
-    """Exact check of a_t/C(q,t) <= a_{t+1}/C(q,t+1) for 1 <= t < q;
-    reports the smallest violating t."""
-    return check_ratio_chain(target.q, target.a)
-
-
 @dataclass(frozen=True)
 class BDecomposition:
     """The increments b_t of the target's ratio chain: b_1 = a_1/C(q,1)
@@ -84,7 +79,7 @@ class BDecomposition:
 
 
 def b_decomposition(target: TargetSequence) -> BDecomposition:
-    check = check_binomial_chain(target)
+    check = check_ratio_chain(target.q, target.a)
     if not check.holds:
         raise ValueError(
             f"binomial-ratio chain violated at index {check.first_violation}"
@@ -295,11 +290,9 @@ def build_plan(
     BudgetExceededError when no m <= ``m_cap`` is certified.
     """
     eps = _as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
+    m = choose_m(target.q, eps)  # refuses epsilon <= 0 before any other check
     decomp = b_decomposition(target)
     certified = _certification_test(decomp, eps)
-    m = choose_m(target.q, eps)
     if m > m_cap:
         raise BudgetExceededError(f"initial m={m} already exceeds cap {m_cap}")
     low, high = m - 1, m  # low: the largest m known to fail
@@ -309,16 +302,12 @@ def build_plan(
                 f"no certified plan with m <= cap {m_cap} (epsilon {exact_str(eps)})"
             )
         low, high = high, min(2 * high, m_cap)
-    while high - low > 1:  # bisect down to the smallest passing m
-        mid = (low + high + 1) // 2
-        if certified(mid):
-            high = mid
-        else:
-            low = mid
-    certificate = plan_at_m(decomp, high, eps)
+    # range(high)[i] == i, so this is the smallest certified m in (low, high]
+    m = bisect_left(range(high), True, lo=low + 1, key=certified)
+    certificate = plan_at_m(decomp, m, eps)
     if not certificate.certified:
         raise AssertionError(
-            f"integer probe certified m={high} but the plan's deviations do not "
+            f"integer probe certified m={m} but the plan's deviations do not "
             f"beat epsilon {exact_str(eps)}"
         )
     return certificate

@@ -26,6 +26,7 @@ from .enumeration import (
 from .errors import BudgetExceededError
 from .function_graph import (
     DEFAULT_VERTEX_BUDGET,
+    _validate_params,
     build_function_graph,
     function_vertices,
 )
@@ -123,7 +124,16 @@ def _read_graph(path: str) -> Graph:
     raise Graph6Error(f"no graph6 line found in {path}")
 
 
+def _check_params(args, k: int, q: int, m: int) -> None:
+    """Refuse an out-of-range (k, q, m) as a usage error, before any I/O."""
+    try:
+        _validate_params(k, q, m)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+
+
 def _cmd_construct(args) -> int:
+    _check_params(args, args.k, args.q, args.m)
     g = build_function_graph(args.k, args.q, args.m, vertex_budget=args.budget)
     line = to_graph6(g)
     if args.labels:  # written first, so a failed write leaves no graph out
@@ -138,6 +148,10 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.mode == "property-p":
+        if args.pk is None or args.pq is None or args.pm is None:
+            args.parser.error("--mode property-p requires -k, -q and -m")
+        _check_params(args, args.pk, args.pq, args.pm)
     g = _read_graph(args.input)
     if args.mode == "indpoly":
         payload = independence_polynomial(g).to_json()
@@ -146,9 +160,7 @@ def _cmd_check(args) -> int:
     elif args.mode == "mt":
         result = binomial_ratio_check(g)
         payload = {"holds": result.holds, "first_violation": result.first_violation}
-    else:  # property-p
-        if args.pk is None or args.pq is None or args.pm is None:
-            args.parser.error("--mode property-p requires -k, -q and -m")
+    else:  # property-p, its parameters checked above
         payload = check_clique_extension(g, args.pk, args.pq, args.pm).to_json()
     _emit(payload, args.format, args.out)
     return EXIT_OK

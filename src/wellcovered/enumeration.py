@@ -17,6 +17,7 @@ from math import comb
 from numbers import Rational
 from typing import Callable, Iterator, NamedTuple, Optional
 
+from .function_graph import _validate_params
 from .graph import Graph, complement
 from .polynomial import Polynomial
 
@@ -340,10 +341,7 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
     first wrong-sized maximal clique in enumeration order; conditions 2
     and 3 report the lexicographically smallest offending clique.
     """
-    if not 0 <= k < q:
-        raise ValueError(f"need 0 <= k < q, got k={k}, q={q}")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got m={m}")
+    _validate_params(k, q, m)
     cliques = list(maximal_cliques(g))
     violations: list[tuple[int, tuple[int, ...]]] = []
 

@@ -24,10 +24,9 @@ from .certificate import (
     Plan,
     TargetSequence,
     build_plan,
-    check_binomial_chain,
     materialize,
 )
-from .enumeration import independence_polynomial, is_well_covered
+from .enumeration import check_ratio_chain, independence_polynomial, is_well_covered
 from .function_graph import DEFAULT_VERTEX_BUDGET
 from .graph import Graph
 from .graph6 import to_graph6
@@ -123,7 +122,7 @@ def target_from_permutation(p: TailPermutation) -> TargetSequence:
     head = [Fraction(comb(q, t)) for t in range(1, (q + 1) // 2)]
     tail = [Fraction((1 << q) + p.pi(t)) for t in p.domain]
     target = TargetSequence(q, tuple(head + tail))
-    check = check_binomial_chain(target)
+    check = check_ratio_chain(q, target.a)
     if not check.holds:
         raise AssertionError(
             f"generated target violates the chain at {check.first_violation}"

@@ -12,7 +12,6 @@ from wellcovered import (
     TargetSequence,
     b_decomposition,
     build_plan,
-    check_binomial_chain,
     choose_m,
     clique_count_closed_form,
     independence_polynomial,
@@ -20,6 +19,7 @@ from wellcovered import (
     materialize,
     plan_at_m,
 )
+from wellcovered.enumeration import check_ratio_chain
 
 THIRD = Fraction(1, 3)
 
@@ -32,9 +32,9 @@ def target(q, values):
 
 
 def test_check_binomial_chain():
-    assert check_binomial_chain(target(3, [3, 10, 11])).holds
-    assert check_binomial_chain(target(3, [3, 3, 1])).holds  # equalities allowed
-    result = check_binomial_chain(target(2, [2, 0]))
+    assert check_ratio_chain(3, target(3, [3, 10, 11]).a).holds
+    assert check_ratio_chain(3, target(3, [3, 3, 1]).a).holds  # equalities allowed
+    result = check_ratio_chain(2, target(2, [2, 0]).a)
     assert not result.holds and result.first_violation == 1
 
 
@@ -80,7 +80,7 @@ def test_b_decomposition_random_roundtrip():
         b = [Fraction(rng.randint(0, 20), rng.randint(1, 9)) for _ in range(q)]
         a = [comb(q, t) * sum(b[:t], Fraction(0)) for t in range(1, q + 1)]
         tgt = target(q, a)
-        assert check_binomial_chain(tgt).holds
+        assert check_ratio_chain(tgt.q, tgt.a).holds
         recovered = b_decomposition(tgt)
         assert recovered.b == tuple(b)
 
@@ -180,8 +180,12 @@ def test_monotone_retry_deviations():
 def test_build_plan_errors():
     with pytest.raises(ValueError):
         build_plan(target(2, [2, 0]), THIRD)  # chain violated
-    with pytest.raises(ValueError):
-        build_plan(target(2, [2, 5]), 0)  # epsilon must be positive
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        build_plan(target(2, [2, 5]), 0)
+    with pytest.raises(ValueError, match="epsilon must be positive"):
+        build_plan(target(2, [2, 0]), 0)  # refused before the chain is read
+    with pytest.raises(ValueError, match="m must be positive"):
+        plan_at_m(b_decomposition(target(2, [2, 5])), 0, THIRD)
     with pytest.raises(ValueError):
         build_plan(target(2, [0, 0]), THIRD)  # identically zero
     with pytest.raises(BudgetExceededError):

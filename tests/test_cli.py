@@ -257,6 +257,13 @@ def test_check_malformed_file(tmp_path, capsys):
     code, _, err = run(capsys, "check", str(missing), "--mode", "indpoly")
     assert code == 3
 
+    blank = tmp_path / "blank.g6"
+    blank.write_bytes(b"\n  \n\n")
+    code, out, err = run(capsys, "check", str(blank), "--mode", "indpoly")
+    assert code == 3
+    assert out == ""
+    assert f"no graph6 line found in {blank}" in err
+
 
 # -- realize ---------------------------------------------------------------------
 
@@ -342,7 +349,7 @@ BROKEN_INVARIANTS = {
     "target chain": (
         "import wellcovered.tailorder as t\n"
         "from wellcovered.enumeration import ChainCheck\n"
-        "t.check_binomial_chain = lambda target: ChainCheck(False, 2)\n",
+        "t.check_ratio_chain = lambda q, a: ChainCheck(False, 2)\n",
         "violates the chain at 2",
     ),
 }
@@ -367,6 +374,16 @@ def test_realize_invariants_hold_under_optimize(case):
     assert result.stdout == ""
     assert "internal invariant failure" in result.stderr
     assert message in result.stderr
+
+
+def test_realize_ordering_not_verified_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(
+        wellcovered.tailorder.TailPermutation, "misordered", lambda self, count: (3, 2)
+    )
+    code, out, err = run(capsys, "realize", "-q", "3", "--pi", "3,2")
+    assert code == 1
+    assert json.loads(out)["ordering_verified"] is False
+    assert "internal failure: ordering not verified on exact counts" in err
 
 
 def test_realize_q4_symbolic(capsys):
@@ -525,6 +542,11 @@ def test_usage_errors(capsys):
         # argparse's own "unrecognized arguments" errors
         (["construct", "-k", "1", "-q", "3", "-m", "2", "--format", "text"], "construct"),
         (["check", "{path}", "--mode", "indpoly", "--mcap", "5"], "check"),
+        # (k, q, m) outside the function-graph domain
+        (["construct", "-k", "1", "-q", "0", "-m", "2"], "construct"),
+        (["construct", "-k", "3", "-q", "2", "-m", "2"], "construct"),
+        (["construct", "-k", "0", "-q", "2", "-m", "0"], "construct"),
+        (["check", "{path}", "--mode", "property-p", "-k", "2", "-q", "2", "-m", "1"], "check"),
     ],
     ids=[
         "property-p-params",
@@ -534,6 +556,10 @@ def test_usage_errors(capsys):
         "realize-mcap",
         "construct-format",
         "check-mcap",
+        "construct-q",
+        "construct-k",
+        "construct-m",
+        "property-p-k",
     ],
 )
 def test_usage_errors_after_parsing_print_subcommand_usage(tmp_path, capsys, argv, command):
@@ -542,6 +568,22 @@ def test_usage_errors_after_parsing_print_subcommand_usage(tmp_path, capsys, arg
     assert code == 4
     assert err.splitlines()[0].startswith(f"usage: wellcovered {command} ")
     assert f"wellcovered {command}: error: " in err
+
+
+def test_out_of_range_params_touch_no_file(tmp_path, capsys):
+    # refused before the input is read or any output is written
+    out, labels = tmp_path / "f.g6", tmp_path / "f.json"
+    code, err = run_usage_error(
+        capsys, "construct", "-k", "3", "-q", "2", "-m", "2",
+        "--out", str(out), "--labels", str(labels),
+    )
+    assert code == 4 and "need 0 <= k < q, got k=3, q=2" in err
+    assert not out.exists() and not labels.exists()
+    code, err = run_usage_error(
+        capsys, "check", str(tmp_path / "missing.g6"), "--mode", "property-p",
+        "-k", "0", "-q", "2", "-m", "0",
+    )
+    assert code == 4 and "need m >= 1, got m=0" in err
 
 
 def test_parser_built_once_per_process(tmp_path, capsys, monkeypatch):

@@ -158,6 +158,8 @@ def test_cliques_of_size():
         g = bruteforce.random_graph(rng, rng.randint(0, 9))
         for j in range(0, 5):
             assert set(cliques_of_size(g, j)) == bruteforce.cliques_of_size(g, j)
+    with pytest.raises(ValueError, match="non-negative"):
+        next(cliques_of_size(complete(3), -1))
 
 
 # -- well-coveredness -----------------------------------------------------

@@ -44,10 +44,18 @@ def test_complete_examples():
 def test_from_edges_validation():
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 0)])
+    with pytest.raises(ValueError, match="self-loop at vertex 1"):
+        Graph.from_edges(3, [(1, 1)])  # refused by the rows constructor
     with pytest.raises(ValueError):
         Graph.from_edges(3, [(0, 3)])
     with pytest.raises(ValueError):
         Graph(1, [1])  # self-loop bit
+    with pytest.raises(ValueError, match="non-negative"):
+        Graph(-1, [])
+    with pytest.raises(ValueError, match="expected 2 adjacency rows, got 1"):
+        Graph(2, [0])
+    with pytest.raises(ValueError, match="out of range"):
+        complete(3).has_edge(0, 5)
     with pytest.raises(ValueError):
         Graph(2, [4, 0])  # row references vertex 2 on a 2-vertex graph
 

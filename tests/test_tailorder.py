@@ -9,7 +9,6 @@ from wellcovered import (
     TailPermutation,
     TargetSequence,
     build_function_graph,
-    check_binomial_chain,
     complement,
     epsilon_from_target,
     independence_polynomial,
@@ -18,6 +17,7 @@ from wellcovered import (
     target_from_permutation,
     verify_on_graph,
 )
+from wellcovered.enumeration import check_ratio_chain
 
 def perm(q, *images):
     return TailPermutation.from_image_list(q, images)
@@ -31,6 +31,8 @@ def test_tail_indices():
     assert tail_indices(2) == (1, 2)
     assert tail_indices(3) == (2, 3)
     assert tail_indices(6) == (3, 4, 5, 6)
+    with pytest.raises(ValueError, match="q must be at least 1"):
+        tail_indices(0)
 
 
 def test_permutation_construction():
@@ -82,7 +84,7 @@ def test_generated_targets_satisfy_chain_with_margin():
         for images in permutations(tail_indices(q)):
             p = TailPermutation.from_image_list(q, images)
             tgt = target_from_permutation(p)
-            assert check_binomial_chain(tgt).holds
+            assert check_ratio_chain(tgt.q, tgt.a).holds
             bound = 1 + Fraction(2, q)
             for t in tgt_tail_pairs(q):
                 assert tgt.a(t) <= bound * tgt.a(t + 1)
