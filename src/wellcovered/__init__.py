@@ -37,7 +37,6 @@ from .graph6 import Graph6Error, from_graph6, to_graph6
 from .polynomial import Polynomial
 from .tailorder import (
     TailPermutation,
-    epsilon_from_target,
     realize,
     tail_indices,
     target_from_permutation,
@@ -69,7 +68,6 @@ __all__ = [
     "complement",
     "complete",
     "disjoint_copies",
-    "epsilon_from_target",
     "from_graph6",
     "function_vertices",
     "independence_polynomial",

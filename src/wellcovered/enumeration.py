@@ -111,33 +111,12 @@ def maximal_independent_sets(g: Graph) -> Iterator[tuple[int, ...]]:
 
 
 def cliques_of_size(g: Graph, j: int) -> Iterator[tuple[int, ...]]:
-    """All cliques of size exactly j in lexicographic order, by depth-first
-    extension over the ordered vertex list on an explicit stack; yields
-    sorted tuples."""
+    """All cliques of size exactly j in lexicographic order, as sorted
+    tuples: the j-subsets of the maximal cliques, since every clique lies
+    in a maximal one."""
     if j < 0:
         raise ValueError("clique size must be non-negative")
-    if j == 0:
-        yield ()
-        return
-    rows = g.rows
-    cur: list[int] = []
-    # stack[d]: candidates left at depth d, all above cur[d - 1]
-    stack = [(1 << g.n) - 1]
-    while stack:
-        d = len(stack) - 1
-        cand = stack[d]
-        if not cand:
-            stack.pop()
-            continue
-        low = cand & -cand
-        v = low.bit_length() - 1
-        stack[d] = rest = cand ^ low
-        del cur[d:]
-        cur.append(v)
-        if d + 1 == j:
-            yield tuple(cur)
-        else:
-            stack.append(rest & rows[v])
+    yield from sorted({s for cl in maximal_cliques(g) for s in combinations(cl, j)})
 
 
 # -- independence polynomial -------------------------------------------

@@ -92,7 +92,7 @@ def build_function_graph(
             f"function graph for (k={k}, q={q}, m={m}) needs "
             f"{q} * {m}^{comb(q - 1, k)} = {n} vertices, over budget {vertex_budget}"
         )
-    if k == 0:
+    if k == 0 or m == 1:  # with m = 1 all vertices agree: one K_q
         return disjoint_copies(complete(q), m)
 
     side = n // q

@@ -8,6 +8,7 @@ for every enumeration routine downstream.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 
@@ -19,6 +20,7 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
@@ -27,12 +29,14 @@ class Graph:
     construction from an edge list.
     """
 
-    __slots__ = ("n", "rows")
+    n: int
+    rows: tuple[int, ...]
 
-    def __init__(self, n: int, rows: Sequence[int]):
+    def __post_init__(self):
+        n = self.n
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        rows = tuple(rows)
+        rows = tuple(self.rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
         full = (1 << n) - 1
@@ -41,11 +45,7 @@ class Graph:
                 raise ValueError(f"self-loop at vertex {v}")
             if row & ~full:
                 raise ValueError(f"adjacency row {v} references vertices >= {n}")
-        object.__setattr__(self, "n", n)
         object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -77,16 +77,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
-
-    # -- identity -----------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Graph):
-            return NotImplemented
-        return self.n == other.n and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.rows))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edge_count()})"

@@ -110,7 +110,7 @@ def to_graph6(g: Graph) -> bytes:
     """Encode a graph as a graph6 byte string (no trailing newline)."""
     n = g.n
     nbits = n * (n - 1) // 2
-    edges = sum(row.bit_count() for row in g.rows) // 2
+    edges = g.edge_count()
     if min(edges, nbits - edges) * _ENCODE_MINORITY_DIVISOR <= nbits:
         body = _body_minority(g.rows, nbits, dense=2 * edges > nbits)
     else:

@@ -8,9 +8,10 @@ non-negotiable here.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 
 def exact_str(x: Union[int, Fraction]) -> str:
@@ -24,6 +25,7 @@ def exact_str(x: Union[int, Fraction]) -> str:
     return str(Decimal(x))
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class Polynomial:
     """Immutable polynomial with non-negative integer coefficients.
 
@@ -31,10 +33,10 @@ class Polynomial:
     stripped on construction; the zero polynomial is ``(0,)``.
     """
 
-    __slots__ = ("coeffs",)
+    coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[int]):
-        cs = list(coeffs)
+    def __post_init__(self):
+        cs = list(self.coeffs)
         if not cs:
             cs = [0]
         for c in cs:
@@ -45,9 +47,6 @@ class Polynomial:
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Polynomial is immutable")
 
     @property
     def degree(self) -> int:
@@ -64,14 +63,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):

@@ -40,11 +40,16 @@ def _as_int(value) -> int:
     return int(value)
 
 
-def tail_indices(q: int) -> tuple[int, ...]:
-    """The index set S = {ceil(q/2), ..., q}."""
+def _tail_range(q: int) -> range:
+    # a range, so its length and ends cost nothing however large q is
     if q < 1:
         raise ValueError("q must be at least 1")
-    return tuple(range((q + 1) // 2, q + 1))
+    return range((q + 1) // 2, q + 1)
+
+
+def tail_indices(q: int) -> tuple[int, ...]:
+    """The index set S = {ceil(q/2), ..., q}."""
+    return tuple(_tail_range(q))
 
 
 @dataclass(frozen=True)
@@ -56,10 +61,11 @@ class TailPermutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        s = tail_indices(self.q)
+        s = _tail_range(self.q)
         if len(self.images) != len(s):
             raise ValueError(
-                f"expected {len(s)} images for the tail set {list(s)}, got {len(self.images)}"
+                f"expected {len(s)} images for the tail set "
+                f"{{{s.start}, ..., {self.q}}}, got {len(self.images)}"
             )
         if sorted(self.images) != list(s):
             raise ValueError(
@@ -84,9 +90,10 @@ class TailPermutation:
         if isinstance(data, tuple):
             pairs = sorted(((_as_int(t), v) for t, v in data), key=lambda pair: pair[0])
             keys = [t for t, _ in pairs]
-            s = list(tail_indices(q))
-            if keys != s:
-                raise ValueError(f"map keys {keys} are not the tail set {s}")
+            s = _tail_range(q)
+            # too few keys is a wrong image count, reported without listing S
+            if len(keys) >= len(s) and keys != list(s):
+                raise ValueError(f"map keys {keys} are not the tail set {list(s)}")
             data = [v for _, v in pairs]
         return cls.from_image_list(q, data)
 
@@ -130,20 +137,9 @@ def target_from_permutation(p: TailPermutation) -> TargetSequence:
     return target
 
 
-def epsilon_from_target(target: TargetSequence, indices: Iterable[int]) -> Fraction:
-    """One third of the smallest gap between target values on ``indices``.
-
-    Deviations below this bound preserve every strict inequality among
-    the chosen indices.  Raises ValueError when two values tie; with
-    fewer than two indices any positive epsilon works and 1/3 is returned.
-    """
-    values = sorted(target.a(t) for t in set(indices))
-    gaps = [b - a for a, b in zip(values, values[1:])]
-    if 0 in gaps:
-        raise ValueError("tail target values must be pairwise distinct")
-    if not gaps:
-        return Fraction(1, 3)
-    return min(gaps) / 3
+# The tail targets 2^q + pi(t) are consecutive integers, so no two differ
+# by less than 1; deviations below a third of that keep every strict order.
+TAIL_EPSILON = Fraction(1, 3)
 
 
 @dataclass(frozen=True)
@@ -202,8 +198,7 @@ def realize(
     otherwise the report ships the symbolic plan alone.
     """
     target = target_from_permutation(p)
-    eps = epsilon_from_target(target, p.domain)
-    certificate = build_plan(target, eps, m_cap=m_cap)
+    certificate = build_plan(target, TAIL_EPSILON, m_cap=m_cap)
     plan = certificate.plan
     chain = tuple((t, plan.predicted[t - 1]) for t in p.by_rank())
     ordering_verified = p.misordered(lambda t: plan.predicted[t - 1]) is None

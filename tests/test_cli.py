@@ -107,6 +107,19 @@ def test_console_script_entrypoint(tmp_path):
     assert from_graph6(result.stdout.strip()) == complete(2)
 
 
+def test_construct_single_value_is_fast():
+    # with m = 1 the graph is K_q however many k-subsets each side has
+    result = subprocess.run(
+        [sys.executable, "-m", "wellcovered.cli", "construct", "-k", "2", "-q", "120", "-m", "1"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=5,
+    )
+    assert result.returncode == 0
+    assert from_graph6(result.stdout.strip()) == complete(120)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -504,6 +517,19 @@ def test_realize_invalid_pi(capsys):
         assert code == 4, pi
         assert "wellcovered realize: error: invalid --pi: " in err, pi
     assert "map keys [2, 2, 3] are not the tail set [2, 3]" in err  # the repeat shows
+
+
+def test_realize_wrong_image_count_at_huge_q(capsys):
+    # the count is checked before the tail set is built or printed
+    q = 10**14
+    for pi in ("1", '{"1": 1}'):
+        code, err = run_usage_error(capsys, "realize", "-q", str(q), "--pi", pi)
+        assert code == 4, pi
+        assert len(err.encode()) < 1000, pi
+        assert (
+            f"invalid --pi: expected {q // 2 + 1} images for the tail set "
+            f"{{{q // 2}, ..., {q}}}, got 1"
+        ) in err, pi
 
 
 def test_realize_bad_q_is_a_q_error(capsys):

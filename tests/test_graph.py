@@ -66,6 +66,19 @@ def test_graph_immutable():
         g.n = 5
 
 
+def test_graph_identity_and_repr():
+    # rows are stored as a tuple whichever sequence they arrive as
+    listed, tupled = Graph(3, [6, 5, 3]), Graph(3, (6, 5, 3))
+    assert listed.rows == (6, 5, 3)
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert listed == complete(3) and listed != Graph(3, [0, 0, 0])
+    assert (listed == (3, (6, 5, 3))) is False
+    assert (listed == Polynomial([3])) is False
+    # the short form: a large graph does not print its rows
+    assert repr(listed) == "Graph(n=3, edges=3)"
+    assert repr(complete(500)) == "Graph(n=500, edges=124750)"
+
+
 def test_disjoint_copies():
     two_k3 = disjoint_copies(complete(3), 2)
     assert two_k3.n == 6 and two_k3.edge_count() == 6

@@ -29,6 +29,16 @@ def test_empty_graph():
     assert from_graph6(to_graph6(g)) == g
 
 
+def test_vertex_count_header_at_width_boundaries():
+    # 1-byte header up to 62, 4 bytes up to 258047, 8 bytes up to _MAX_N
+    for n, width in ((62, 1), (63, 4), (258047, 4), (258048, 8), (graph6._MAX_N, 8)):
+        header = graph6._encode_n(n)
+        assert len(header) == width, n
+        assert graph6._decode_n(header + b"rest") == (n, b"rest")
+    with pytest.raises(ValueError, match="cannot encode"):
+        graph6._encode_n(graph6._MAX_N + 1)
+
+
 def test_known_small_values():
     # 5-cycle, a standard reference value for the format
     c5 = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])

@@ -30,6 +30,17 @@ def test_equality_and_hash():
     assert Polynomial([1, 2]) == Polynomial([1, 2, 0])
     assert hash(Polynomial([1, 2])) == hash(Polynomial([1, 2, 0]))
     assert Polynomial([1]) != Polynomial([2])
+    assert (Polynomial([1, 2]) == (1, 2)) is False
+    assert (Polynomial([1, 2]) == [1, 2]) is False
+
+
+def test_immutable_and_repr():
+    p = Polynomial((1, 2, 0))
+    with pytest.raises(AttributeError):
+        p.coeffs = (3,)
+    assert p.coeffs == (1, 2)
+    assert repr(p) == "Polynomial([1, 2])"
+    assert list(p) == [1, 2] and len(p) == 2
 
 
 def test_mul_pow():

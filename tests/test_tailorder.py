@@ -7,10 +7,8 @@ import pytest
 from wellcovered import (
     EpsilonCertificate,
     TailPermutation,
-    TargetSequence,
     build_function_graph,
     complement,
-    epsilon_from_target,
     independence_polynomial,
     realize,
     tail_indices,
@@ -96,17 +94,6 @@ def test_generated_targets_satisfy_chain_with_margin():
 def tgt_tail_pairs(q):
     s = tail_indices(q)
     return [t for t in s if t + 1 in s]
-
-
-def test_epsilon_from_target():
-    tgt = target_from_permutation(perm(3, 3, 2))
-    assert epsilon_from_target(tgt, (2, 3)) == Fraction(1, 3)
-    spread = TargetSequence.of(4, [1, 5, 9, 11])
-    assert epsilon_from_target(spread, (2, 3, 4)) == Fraction(2, 3)
-    with pytest.raises(ValueError):
-        epsilon_from_target(TargetSequence.of(3, [1, 4, 4]), (2, 3))
-    # singleton tail: any positive epsilon works
-    assert epsilon_from_target(TargetSequence.of(1, [3]), (1,)) == Fraction(1, 3)
 
 
 # -- pipeline -----------------------------------------------------------------
