@@ -23,8 +23,8 @@ from .enumeration import check_ratio_chain
 from .errors import BudgetExceededError
 from .function_graph import (
     DEFAULT_VERTEX_BUDGET,
+    _validate_params,
     build_function_graph,
-    clique_count_closed_form,
     vertex_count,
 )
 from .graph import Graph, complement, join
@@ -125,12 +125,21 @@ class Plan:
     predicted: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
+        q = self.q
+        # scaled[t-1] * C(q,t) is the join's count at t.  In a component the
+        # exponent of m in the t-clique count starts at C(q-1,k), rises by
+        # C(q-t-1,k-t) from t to t+1 while t <= k, and stays at C(q,k) above
+        # k, so copies * m^C(q,k) is formed once and serves every t > k.
+        scaled = [0] * q
+        for c in self.components:
+            _validate_params(c.k, q, c.m)
+            value = c.copies * c.m ** comb(q - 1, c.k)
+            for t in range(1, q + 1):
+                scaled[t - 1] += value
+                if t <= c.k:
+                    value *= c.m ** comb(q - t - 1, c.k - t)
         object.__setattr__(self, "predicted", tuple(
-            sum(
-                c.copies * clique_count_closed_form(c.k, self.q, c.m, t)
-                for c in self.components
-            )
-            for t in range(1, self.q + 1)
+            comb(q, t) * s for t, s in enumerate(scaled, start=1)
         ))
 
     def vertex_total(self) -> int:
@@ -164,8 +173,10 @@ class EpsilonCertificate:
             raise ValueError(
                 f"plan has q = {self.plan.q}, target has q = {self.target.q}"
             )
+        scale = self.scale
+        # |count / T - a| as one fraction, reduced once
         object.__setattr__(self, "deviations", tuple(
-            abs(Fraction(count, self.scale) - a)
+            Fraction(abs(count * a.denominator - a.numerator * scale), scale * a.denominator)
             for count, a in zip(self.plan.predicted, self.target.values)
         ))
 
@@ -188,6 +199,25 @@ class EpsilonCertificate:
         }
 
 
+def _weights(decomp: BDecomposition) -> tuple[int, list[tuple[int, int]]]:
+    """L, the lcm of the nonzero b_j's denominators, and the pairs
+    (j, w_j = b_j * L), each w_j an exact positive integer."""
+    selected = [(j, bj) for j, bj in enumerate(decomp.b, start=1) if bj > 0]
+    if not selected:
+        raise ValueError(
+            "target sequence is identically zero; no join of well-covered "
+            "components realizes it"
+        )
+    denom_lcm = lcm(*(bj.denominator for _, bj in selected))
+    weights = []
+    for j, bj in selected:
+        w = bj * denom_lcm
+        if w.denominator != 1:
+            raise AssertionError(f"weight {w} for j={j} is not an integer")
+        weights.append((j, w.numerator))
+    return denom_lcm, weights
+
+
 def plan_at_m(
     decomp: BDecomposition, m: int, epsilon: Fraction
 ) -> EpsilonCertificate:
@@ -198,35 +228,28 @@ def plan_at_m(
     One component per nonzero b_j: the complement of the (j-1, q, m)
     function graph carries scale_j = m^C(q,j-1), and clearing denominators
     with T = L * m^E (L the lcm of the b denominators, E the largest
-    needed exponent) makes every copy count n_j = b_j * T / scale_j an
-    exact non-negative integer.
+    needed exponent) makes every copy count n_j = w_j * m^(E - C(q,j-1))
+    an exact non-negative integer, with w_j = b_j * L.
     """
     if m < 1:
         raise ValueError("m must be positive")
-    target = decomp.target
-    q = target.q
-    selected = [(j, bj) for j, bj in enumerate(decomp.b, start=1) if bj > 0]
-    if not selected:
-        raise ValueError(
-            "target sequence is identically zero; no join of well-covered "
-            "components realizes it"
-        )
-    exponent = max(comb(q, j - 1) for j, _ in selected)
-    denom_lcm = lcm(*(bj.denominator for _, bj in selected))
-    scale = denom_lcm * m**exponent
-    components = []
-    for j, bj in selected:
-        copies = bj * denom_lcm * m ** (exponent - comb(q, j - 1))
-        if copies.denominator != 1:
-            raise AssertionError(f"copy count {copies} for j={j} is not an integer")
-        components.append(PlanComponent(j - 1, m, int(copies)))
-    return EpsilonCertificate(Plan(q, tuple(components)), target, scale, epsilon)
+    q = decomp.target.q
+    denom_lcm, weights = _weights(decomp)
+    exponent = max(comb(q, j - 1) for j, _ in weights)
+    components = tuple(
+        PlanComponent(j - 1, m, w * m ** (exponent - comb(q, j - 1)))
+        for j, w in weights
+    )
+    return EpsilonCertificate(
+        Plan(q, components), decomp.target, denom_lcm * m**exponent, epsilon
+    )
 
 
 def _certification_test(
     decomp: BDecomposition, eps: Fraction
-) -> Callable[[int], bool]:
-    """``m -> plan_at_m(decomp, m, eps).certified``, in integers only.
+) -> tuple[Callable[[int], bool], int]:
+    """``m -> plan_at_m(decomp, m, eps).certified``, in integers only, and
+    a floor: every m <= floor fails it.
 
     With the integer weights w_j = b_j * L (L the lcm of the nonzero b_j's
     denominators), e_j = C(q-t, j-1-t) and e = max e_j over the nonzero
@@ -235,24 +258,25 @@ def _certification_test(
         C(q,t) * eps.den * sum_{j>t} w_j * m^(e - e_j) < eps.num * L * m^e.
 
     An index with no nonzero b_j above it has dev_t = 0 and imposes
-    nothing.
+    nothing.  The floor comes from the terms with e_j = 1 alone: with S1_t
+    the sum of their w_j, the left side is at least
+    C(q,t) * eps.den * S1_t * m^(e-1), which reaches the right side for
+    every m <= C(q,t) * eps.den * S1_t / (eps.num * L).  So index t fails
+    every m up to the floor of that quotient, and the floor returned is
+    the largest of these over t.
     """
     q = decomp.target.q
-    selected = [(j, bj) for j, bj in enumerate(decomp.b, start=1) if bj > 0]
-    denom_lcm = lcm(*(bj.denominator for _, bj in selected))
+    denom_lcm, weights = _weights(decomp)
     rhs = eps.numerator * denom_lcm
     rows = []  # (C(q,t) * eps.den, [(w_j, e - e_j), ...], e) per constrained t
+    floor = 0
     for t in range(1, q + 1):
-        terms = [
-            (bj.numerator * (denom_lcm // bj.denominator), comb(q - t, j - 1 - t))
-            for j, bj in selected
-            if j > t
-        ]
+        terms = [(w, comb(q - t, j - 1 - t)) for j, w in weights if j > t]
         if terms:
+            lhs = comb(q, t) * eps.denominator
             top = max(e for _, e in terms)
-            rows.append(
-                (comb(q, t) * eps.denominator, [(w, top - e) for w, e in terms], top)
-            )
+            rows.append((lhs, [(w, top - e) for w, e in terms], top))
+            floor = max(floor, lhs * sum(w for w, e in terms if e == 1) // rhs)
     exponents = {top for *_, top in rows}
     exponents.update(d for _, terms, _ in rows for _, d in terms)
 
@@ -263,7 +287,7 @@ def _certification_test(
             for lhs, terms, top in rows
         )
 
-    return certified
+    return certified, floor
 
 
 def build_plan(
@@ -274,27 +298,38 @@ def build_plan(
 ) -> EpsilonCertificate:
     """Certified plan at the smallest workable m.
 
-    Starts from the smallest m with 2^q/m < epsilon, doubles m (the
-    last step probes ``m_cap`` itself) until the plan is certified, then
-    bisects back to the smallest certified m.  Each probe is an integer
-    inequality per index: the deviation at index t is
+    Starts from the larger of the smallest m with 2^q/m < epsilon and
+    one past the floor of ``_certification_test``, below which every m is
+    proven to fail; doubles m (the last step probes ``m_cap`` itself)
+    until the plan is certified, then bisects back to the smallest
+    certified m.  Each probe is an integer inequality per index: the
+    deviation at index t is
 
         dev_t(m) = C(q,t) * sum_{j>t} b_j / m^C(q-t, j-1-t),
 
     a sum of non-negative terms b_j / m^e with e >= 1, so it never
     increases as m grows (and strictly falls while some b_j > 0 sits
-    above t), which is what the bisection needs.  ``plan_at_m`` runs once,
-    at the m found; the reported deviations come from the plan's exact
-    predicted counts, and a certificate they do not certify is an
-    internal invariant failure (AssertionError).  Raises
-    BudgetExceededError when no m <= ``m_cap`` is certified.
+    above t), which is what the bisection needs.  The term j = t+1 has
+    e = 1, so dev_t(m) >= C(q,t) * b_{t+1} / m, which is at least epsilon
+    for every m up to the floor.  ``plan_at_m`` runs once, at the m
+    found; the reported deviations come from the plan's exact predicted
+    counts, and a certificate they do not certify is an internal
+    invariant failure (AssertionError).  Raises BudgetExceededError when
+    no m <= ``m_cap`` is certified, before any probe when the floor is at
+    least ``m_cap`` or the first m is above it.
     """
     eps = _as_fraction(epsilon)
     m = choose_m(target.q, eps)  # refuses epsilon <= 0 before any other check
     decomp = b_decomposition(target)
-    certified = _certification_test(decomp, eps)
+    certified, floor = _certification_test(decomp, eps)
+    if floor >= m_cap:
+        raise BudgetExceededError(
+            f"every m <= {floor} leaves a deviation of at least epsilon "
+            f"{exact_str(eps)}, so no plan with m <= cap {m_cap} is certified"
+        )
     if m > m_cap:
         raise BudgetExceededError(f"initial m={m} already exceeds cap {m_cap}")
+    m = max(m, floor + 1)
     low, high = m - 1, m  # low: the largest m known to fail
     while not certified(high):
         if high == m_cap:

@@ -374,9 +374,11 @@ class ChainCheck(NamedTuple):
 
 def check_ratio_chain(q: int, a: Callable[[int], Rational]) -> ChainCheck:
     """Exact check of a(t)/C(q,t) <= a(t+1)/C(q,t+1) for 1 <= t < q,
-    cross-multiplied; reports the smallest violating t."""
+    cross-multiplied in integers; reports the smallest violating t."""
     for t in range(1, q):
-        if a(t) * comb(q, t + 1) > a(t + 1) * comb(q, t):
+        lo, hi = a(t), a(t + 1)
+        if (lo.numerator * hi.denominator * comb(q, t + 1)
+                > hi.numerator * lo.denominator * comb(q, t)):
             return ChainCheck(False, t)
     return ChainCheck(True, None)
 

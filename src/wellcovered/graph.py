@@ -39,11 +39,10 @@ class Graph:
         rows = tuple(self.rows)
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
-        full = (1 << n) - 1
         for v, row in enumerate(rows):
             if row >> v & 1:
                 raise ValueError(f"self-loop at vertex {v}")
-            if row & ~full:
+            if row >> n:  # a bit at n or above, or a negative row
                 raise ValueError(f"adjacency row {v} references vertices >= {n}")
         object.__setattr__(self, "rows", rows)
 

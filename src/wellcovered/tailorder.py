@@ -172,13 +172,15 @@ class RealizationReport:
         return self.graph is not None
 
     def to_json(self) -> dict:
+        plan = self.certificate.to_json()
         out = {
-            "plan": self.certificate.to_json(),
+            "plan": plan,
             "target": self.certificate.target.to_json(),
             "epsilon": exact_str(self.certificate.epsilon),
             "ordering_verified": self.ordering_verified,
             "ordering": [t for t, _ in self.chain],
-            "counts": [exact_str(c) for _, c in self.chain],
+            # the chain's counts are the plan's, already in decimal
+            "counts": [plan["predicted"][t - 1] for t, _ in self.chain],
             "materialized": self.materialized,
         }
         if self.graph is not None:

@@ -19,6 +19,8 @@ from wellcovered import (
     materialize,
     plan_at_m,
 )
+import wellcovered.certificate
+from wellcovered.certificate import _certification_test
 from wellcovered.enumeration import check_ratio_chain
 
 THIRD = Fraction(1, 3)
@@ -190,6 +192,47 @@ def test_build_plan_errors():
         build_plan(target(2, [0, 0]), THIRD)  # identically zero
     with pytest.raises(BudgetExceededError):
         build_plan(target(3, [3, 11, 10]), THIRD, m_cap=40)
+
+
+def test_certification_floor_q3_swap():
+    # w = (3, 8, 19) with L = 3: index 1 fails every m <= 3 * 3 * 8 / 3 = 24
+    # and index 2 every m <= 3 * 3 * 19 / 3 = 57, the deviation 19/m >= 1/3
+    decomp = b_decomposition(target(3, [3, 11, 10]))
+    certified, floor = _certification_test(decomp, THIRD)
+    assert floor == 57
+    assert not plan_at_m(decomp, 57, THIRD).certified
+    assert certified(58) and plan_at_m(decomp, 58, THIRD).certified
+
+
+def spy_probes(monkeypatch) -> list:
+    """Record every m the search probes, in order."""
+    probed = []
+    real = wellcovered.certificate._certification_test
+
+    def spy(decomp, eps):
+        certified, floor = real(decomp, eps)
+        return lambda m: probed.append(m) or certified(m), floor
+
+    monkeypatch.setattr(wellcovered.certificate, "_certification_test", spy)
+    return probed
+
+
+def test_build_plan_refuses_a_cap_under_the_floor_before_probing(monkeypatch):
+    probed = spy_probes(monkeypatch)
+    tgt = target(3, [3, 11, 10])
+    with pytest.raises(BudgetExceededError) as err:
+        build_plan(tgt, THIRD, m_cap=57)
+    assert "every m <= 57" in str(err.value)
+    assert "cap 57" in str(err.value)
+    assert probed == []
+    # the first m with 2^q / m < epsilon is 25, but 58 is the first probe
+    assert {c.m for c in build_plan(tgt, THIRD, m_cap=58).plan.components} == {58}
+    assert probed == [58]
+    # no floor below the first m: the cap is measured against that m
+    probed.clear()
+    with pytest.raises(BudgetExceededError, match="initial m=25 already exceeds cap 24"):
+        build_plan(target(3, [3, 3, 1]), THIRD, m_cap=24)
+    assert probed == []
 
 
 # -- epsilon certificates ----------------------------------------------------------

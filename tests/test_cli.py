@@ -304,17 +304,25 @@ def test_realize_mcap_probes_the_cap(capsys):
 
 
 def test_realize_builds_one_plan(capsys, monkeypatch):
-    # the search probes m = 25, 50, 100, 75, ..., 58 without building a plan
-    built = []
-    real = wellcovered.certificate.plan_at_m
+    # every m <= 57 is proven to fail, so the search starts at m = 58,
+    # where the one integer probe certifies; the plan is built once, there
+    built, probed = [], []
+    real_plan = wellcovered.certificate.plan_at_m
+    real_test = wellcovered.certificate._certification_test
 
-    def spy(target, m, eps):
+    def spy_plan(target, m, eps):
         built.append(m)
-        return real(target, m, eps)
+        return real_plan(target, m, eps)
 
-    monkeypatch.setattr(wellcovered.certificate, "plan_at_m", spy)
+    def spy_test(decomp, eps):
+        certified, floor = real_test(decomp, eps)
+        return lambda m: probed.append(m) or certified(m), floor
+
+    monkeypatch.setattr(wellcovered.certificate, "plan_at_m", spy_plan)
+    monkeypatch.setattr(wellcovered.certificate, "_certification_test", spy_test)
     code, out, _ = run(capsys, "realize", "-q", "3", "--pi", "3,2")
     assert code == 0
+    assert probed == [58]
     assert built == [58]
 
 

@@ -60,6 +60,15 @@ def test_from_edges_validation():
         Graph(2, [4, 0])  # row references vertex 2 on a 2-vertex graph
 
 
+def test_rows_out_of_range():
+    # a bit at n or above, and a negative row, whose bits run on forever
+    with pytest.raises(ValueError, match="adjacency row 0 references vertices >= 2"):
+        Graph(2, [1 << 70, 0])
+    with pytest.raises(ValueError, match="adjacency row 1 references vertices >= 3"):
+        Graph(3, [0, -8, 0])  # bits 0-2 clear, every bit from 3 up set
+    assert Graph(3, [0b110, 0b001, 0b001]).rows == (6, 1, 1)
+
+
 def test_graph_immutable():
     g = complete(3)
     with pytest.raises(AttributeError):

@@ -4,8 +4,11 @@ random nested joins and disjoint unions of small graphs.  Such graphs keep
 components, a join through the dense rule, whose terms each lie inside
 one part; the references are the subset-enumeration oracles.  Also
 the graph6 round trip against the bit-at-a-time codec, the plan search
-against a scan of every m, materialized plans of mixed k and m against
-their predicted counts, and the enumeration order and clique extension
+against a scan of every m and its proven floor against the plans below
+it, predicted counts and deviations of large symbolic plans against the
+closed form and Fraction arithmetic, the integer ratio-chain check against
+Fraction comparison, materialized plans of mixed k and m against their
+predicted counts, and the enumeration order and clique extension
 witnesses against the recursive references on random graphs."""
 
 from fractions import Fraction
@@ -18,13 +21,16 @@ from hypothesis import strategies as st
 
 from wellcovered import (
     BudgetExceededError,
+    EpsilonCertificate,
     Graph,
     Plan,
     PlanComponent,
     Polynomial,
     TargetSequence,
+    b_decomposition,
     build_plan,
     check_clique_extension,
+    clique_count_closed_form,
     clique_polynomial,
     from_graph6,
     independence_polynomial,
@@ -32,9 +38,12 @@ from wellcovered import (
     join,
     materialize,
     maximal_cliques,
+    plan_at_m,
     to_graph6,
     vertex_count,
 )
+from wellcovered.certificate import _certification_test
+from wellcovered.enumeration import check_ratio_chain
 
 import bruteforce
 from bruteforce import (
@@ -154,6 +163,75 @@ def test_build_plan_finds_the_smallest_certified_m(target, eps, m_cap):
     else:
         cert = build_plan(target, eps, m_cap=m_cap)
         assert {c.m for c in cert.plan.components} == {expected} and cert.certified
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_targets(), st.builds(Fraction, st.integers(1, 20), st.integers(1, 4)))
+def test_every_m_up_to_the_floor_is_uncertified(target, eps):
+    decomp = b_decomposition(target)
+    _, floor = _certification_test(decomp, eps)
+    # a small floor is scanned in full, a large one at a few points
+    checked = range(1, floor + 1) if floor <= 100 else (1, 2, floor // 2, floor - 1, floor)
+    for m in checked:
+        assert not plan_at_m(decomp, m, eps).certified, m
+
+
+@st.composite
+def symbolic_plans(draw) -> Plan:
+    """Joins of 1-4 components of any size, q <= 13, never materialized:
+    each component's k and m drawn on their own, copies up to 10^40."""
+    q = draw(st.integers(1, 13))
+    component = st.builds(
+        PlanComponent, st.integers(0, q - 1), st.integers(1, 40), st.integers(1, 10**40)
+    )
+    return Plan(q, tuple(draw(st.lists(component, min_size=1, max_size=4))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(symbolic_plans())
+def test_predicted_counts_are_sums_of_closed_forms(plan):
+    assert plan.predicted == tuple(
+        sum(c.copies * clique_count_closed_form(c.k, plan.q, c.m, t) for c in plan.components)
+        for t in range(1, plan.q + 1)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(symbolic_plans(), st.integers(1, 10**60), st.data())
+def test_deviations_are_scaled_distances(plan, scale, data):
+    # targets at, near or far from count / scale, on either side
+    offsets = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+    values = [
+        data.draw(st.one_of(
+            st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
+            offsets.map(lambda d, c=count: max(Fraction(c, scale) + d, Fraction(0))),
+        ))
+        for count in plan.predicted
+    ]
+    target = TargetSequence.of(plan.q, values)
+    cert = EpsilonCertificate(plan, target, scale, Fraction(1, 3))
+    assert cert.deviations == tuple(
+        abs(Fraction(count, scale) - a) for count, a in zip(plan.predicted, target.values)
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.one_of(
+        st.integers(0, 10**30),
+        st.fractions(min_value=0, max_value=10**6, max_denominator=10**9),
+    ),
+    min_size=1,
+    max_size=12,
+), st.booleans())
+def test_integer_ratio_chain_matches_fractions(values, as_chain):
+    q = len(values)
+    if as_chain:  # read the draws as increments b_t, so the chain holds
+        values = [comb(q, t) * sum(values[:t]) for t in range(1, q + 1)]
+    ratios = [Fraction(v) / comb(q, t) for t, v in enumerate(values, start=1)]
+    first = next((t for t in range(1, q) if ratios[t - 1] > ratios[t]), None)
+    check = check_ratio_chain(q, lambda t: values[t - 1])
+    assert (check.holds, check.first_violation) == (first is None, first)
 
 
 @st.composite

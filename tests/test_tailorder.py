@@ -6,6 +6,9 @@ import pytest
 
 from wellcovered import (
     EpsilonCertificate,
+    b_decomposition,
+    build_plan,
+    choose_m,
     TailPermutation,
     build_function_graph,
     complement,
@@ -15,7 +18,9 @@ from wellcovered import (
     target_from_permutation,
     verify_on_graph,
 )
+from wellcovered.certificate import _certification_test
 from wellcovered.enumeration import check_ratio_chain
+from wellcovered.tailorder import TAIL_EPSILON
 
 def perm(q, *images):
     return TailPermutation.from_image_list(q, images)
@@ -151,6 +156,19 @@ def test_realize_all_small_tails_symbolic():
             assert EpsilonCertificate(cert.plan, cert.target, cert.scale, cert.epsilon).certified
         if q in PLAN_M_RANGE:
             assert (min(ms), max(ms)) == PLAN_M_RANGE[q], q
+
+
+def test_tail_plans_certify_at_the_first_probe():
+    # for tail targets the proven floor is tight: the search starts one
+    # past it, and that first probe already certifies
+    for q in range(1, 8):
+        for images in permutations(tail_indices(q)):
+            tgt = target_from_permutation(TailPermutation.from_image_list(q, images))
+            certified, floor = _certification_test(b_decomposition(tgt), TAIL_EPSILON)
+            first = max(choose_m(q, TAIL_EPSILON), floor + 1)
+            assert certified(first), (q, images)
+            plan = build_plan(tgt, TAIL_EPSILON).plan
+            assert {c.m for c in plan.components} == {first}, (q, images)
 
 
 def test_ordering_semantics_match_rank_reading():
