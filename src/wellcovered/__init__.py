@@ -10,7 +10,6 @@ from .certificate import (
     TargetSequence,
     b_decomposition,
     build_plan,
-    choose_m,
     materialize,
     plan_at_m,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "build_function_graph",
     "build_plan",
     "check_clique_extension",
-    "choose_m",
     "clique_count_closed_form",
     "clique_polynomial",
     "cliques_of_size",

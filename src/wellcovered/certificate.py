@@ -6,9 +6,10 @@ as a_t = C(q,t) * sum_{s<=t} b_s with b_s >= 0.  Each nonzero b_j buys
 copies of the complement of the (j-1, q, m) function graph, whose scaled
 counts are exactly C(q,t) for t >= j and at most C(q,t)/m below.  Copy
 counts and the scale T are cleared to exact integers, the per-index
-deviations are exact rationals, and m is grown until every deviation is
-below the requested epsilon.  A ``Plan`` is the join and its exact
-counts; an ``EpsilonCertificate`` measures a plan against a target.
+deviations are exact rationals, and m is grown from a proven floor until
+every deviation is below the requested epsilon.  A ``Plan`` is the join
+and its exact counts; an ``EpsilonCertificate`` measures a plan against
+a target.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .enumeration import check_ratio_chain
 from .errors import BudgetExceededError
@@ -89,15 +90,6 @@ def b_decomposition(target: TargetSequence) -> BDecomposition:
     b = [ratios[0]]
     b.extend(ratios[t] - ratios[t - 1] for t in range(1, q))
     return BDecomposition(target, tuple(b))
-
-
-def choose_m(q: int, epsilon: RationalLike) -> int:
-    """Smallest positive integer m with 2^q / m < epsilon."""
-    eps = _as_fraction(epsilon)
-    if eps <= 0:
-        raise ValueError("epsilon must be positive")
-    # need m > 2^q / eps, strictly
-    return (1 << q) * eps.denominator // eps.numerator + 1
 
 
 @dataclass(frozen=True)
@@ -199,25 +191,6 @@ class EpsilonCertificate:
         }
 
 
-def _weights(decomp: BDecomposition) -> tuple[int, list[tuple[int, int]]]:
-    """L, the lcm of the nonzero b_j's denominators, and the pairs
-    (j, w_j = b_j * L), each w_j an exact positive integer."""
-    selected = [(j, bj) for j, bj in enumerate(decomp.b, start=1) if bj > 0]
-    if not selected:
-        raise ValueError(
-            "target sequence is identically zero; no join of well-covered "
-            "components realizes it"
-        )
-    denom_lcm = lcm(*(bj.denominator for _, bj in selected))
-    weights = []
-    for j, bj in selected:
-        w = bj * denom_lcm
-        if w.denominator != 1:
-            raise AssertionError(f"weight {w} for j={j} is not an integer")
-        weights.append((j, w.numerator))
-    return denom_lcm, weights
-
-
 def plan_at_m(
     decomp: BDecomposition, m: int, epsilon: Fraction
 ) -> EpsilonCertificate:
@@ -227,67 +200,45 @@ def plan_at_m(
 
     One component per nonzero b_j: the complement of the (j-1, q, m)
     function graph carries scale_j = m^C(q,j-1), and clearing denominators
-    with T = L * m^E (L the lcm of the b denominators, E the largest
-    needed exponent) makes every copy count n_j = w_j * m^(E - C(q,j-1))
-    an exact non-negative integer, with w_j = b_j * L.
+    with T = L * m^E (L the lcm of the nonzero b_j's denominators, E the
+    largest needed exponent) makes every copy count n_j = w_j * m^(E -
+    C(q,j-1)) an exact positive integer, with w_j = b_j * L.
     """
     if m < 1:
         raise ValueError("m must be positive")
     q = decomp.target.q
-    denom_lcm, weights = _weights(decomp)
-    exponent = max(comb(q, j - 1) for j, _ in weights)
-    components = tuple(
-        PlanComponent(j - 1, m, w * m ** (exponent - comb(q, j - 1)))
-        for j, w in weights
-    )
+    selected = [(j, bj) for j, bj in enumerate(decomp.b, start=1) if bj > 0]
+    if not selected:
+        raise ValueError(
+            "target sequence is identically zero; no join of well-covered "
+            "components realizes it"
+        )
+    denom_lcm = lcm(*(bj.denominator for _, bj in selected))
+    exponent = max(comb(q, j - 1) for j, _ in selected)
+    components = []
+    for j, bj in selected:
+        w = bj * denom_lcm
+        if w.denominator != 1:
+            raise AssertionError(f"weight {w} for j={j} is not an integer")
+        components.append(
+            PlanComponent(j - 1, m, w.numerator * m ** (exponent - comb(q, j - 1)))
+        )
     return EpsilonCertificate(
-        Plan(q, components), decomp.target, denom_lcm * m**exponent, epsilon
+        Plan(q, tuple(components)), decomp.target, denom_lcm * m**exponent, epsilon
     )
 
 
-def _certification_test(
-    decomp: BDecomposition, eps: Fraction
-) -> tuple[Callable[[int], bool], int]:
-    """``m -> plan_at_m(decomp, m, eps).certified``, in integers only, and
-    a floor: every m <= floor fails it.
+def _certification_floor(decomp: BDecomposition, eps: Fraction) -> int:
+    """The largest m proven uncertified, or 0 when none is: every m up to
+    it leaves a deviation of at least eps.
 
-    With the integer weights w_j = b_j * L (L the lcm of the nonzero b_j's
-    denominators), e_j = C(q-t, j-1-t) and e = max e_j over the nonzero
-    b_j with j > t, the test dev_t(m) < eps of ``build_plan`` reads
-
-        C(q,t) * eps.den * sum_{j>t} w_j * m^(e - e_j) < eps.num * L * m^e.
-
-    An index with no nonzero b_j above it has dev_t = 0 and imposes
-    nothing.  The floor comes from the terms with e_j = 1 alone: with S1_t
-    the sum of their w_j, the left side is at least
-    C(q,t) * eps.den * S1_t * m^(e-1), which reaches the right side for
-    every m <= C(q,t) * eps.den * S1_t / (eps.num * L).  So index t fails
-    every m up to the floor of that quotient, and the floor returned is
-    the largest of these over t.
+    The term j = t+1 of dev_t(m) (see ``build_plan``) has exponent 1, so
+    dev_t(m) >= C(q,t) * b_{t+1} / m, which is at least eps for every
+    m <= C(q,t) * b_{t+1} / eps.  An index with b_{t+1} = 0, such as the
+    only index at q = 1, proves nothing.
     """
     q = decomp.target.q
-    denom_lcm, weights = _weights(decomp)
-    rhs = eps.numerator * denom_lcm
-    rows = []  # (C(q,t) * eps.den, [(w_j, e - e_j), ...], e) per constrained t
-    floor = 0
-    for t in range(1, q + 1):
-        terms = [(w, comb(q - t, j - 1 - t)) for j, w in weights if j > t]
-        if terms:
-            lhs = comb(q, t) * eps.denominator
-            top = max(e for _, e in terms)
-            rows.append((lhs, [(w, top - e) for w, e in terms], top))
-            floor = max(floor, lhs * sum(w for w, e in terms if e == 1) // rhs)
-    exponents = {top for *_, top in rows}
-    exponents.update(d for _, terms, _ in rows for _, d in terms)
-
-    def certified(m: int) -> bool:
-        power = {d: m**d for d in exponents}
-        return all(
-            lhs * sum(w * power[d] for w, d in terms) < rhs * power[top]
-            for lhs, terms, top in rows
-        )
-
-    return certified, floor
+    return max((comb(q, t) * decomp.b[t] // eps for t in range(1, q)), default=0)
 
 
 def build_plan(
@@ -296,56 +247,55 @@ def build_plan(
     *,
     m_cap: int = DEFAULT_M_CAP,
 ) -> EpsilonCertificate:
-    """Certified plan at the smallest workable m.
+    """Certified plan at the smallest certified m.
 
-    Starts from the larger of the smallest m with 2^q/m < epsilon and
-    one past the floor of ``_certification_test``, below which every m is
-    proven to fail; doubles m (the last step probes ``m_cap`` itself)
-    until the plan is certified, then bisects back to the smallest
-    certified m.  Each probe is an integer inequality per index: the
-    deviation at index t is
+    Starts one past the floor of ``_certification_floor``, below which
+    every m is proven to fail; doubles m (the last step probes ``m_cap``
+    itself) until the plan is certified, then bisects back to the smallest
+    certified m.  Each probe is ``plan_at_m``'s certificate at that m, and
+    the one returned is the probe at the m found.  The deviation at index
+    t is
 
         dev_t(m) = C(q,t) * sum_{j>t} b_j / m^C(q-t, j-1-t),
 
     a sum of non-negative terms b_j / m^e with e >= 1, so it never
     increases as m grows (and strictly falls while some b_j > 0 sits
-    above t), which is what the bisection needs.  The term j = t+1 has
-    e = 1, so dev_t(m) >= C(q,t) * b_{t+1} / m, which is at least epsilon
-    for every m up to the floor.  ``plan_at_m`` runs once, at the m
-    found; the reported deviations come from the plan's exact predicted
-    counts, and a certificate they do not certify is an internal
-    invariant failure (AssertionError).  Raises BudgetExceededError when
-    no m <= ``m_cap`` is certified, before any probe when the floor is at
-    least ``m_cap`` or the first m is above it.
+    above t), which is what the bisection needs.  Raises
+    BudgetExceededError when no m <= ``m_cap`` is certified, before any
+    probe when the floor is at least ``m_cap``.
     """
     eps = _as_fraction(epsilon)
-    m = choose_m(target.q, eps)  # refuses epsilon <= 0 before any other check
+    if eps <= 0:  # refused before the chain is read
+        raise ValueError("epsilon must be positive")
     decomp = b_decomposition(target)
-    certified, floor = _certification_test(decomp, eps)
+    floor = _certification_floor(decomp, eps)
     if floor >= m_cap:
         raise BudgetExceededError(
             f"every m <= {floor} leaves a deviation of at least epsilon "
             f"{exact_str(eps)}, so no plan with m <= cap {m_cap} is certified"
         )
-    if m > m_cap:
-        raise BudgetExceededError(f"initial m={m} already exceeds cap {m_cap}")
-    m = max(m, floor + 1)
-    low, high = m - 1, m  # low: the largest m known to fail
+    found = None  # the certificate of the smallest certified m probed
+
+    def certified(m: int) -> bool:
+        nonlocal found
+        certificate = plan_at_m(decomp, m, eps)
+        if certificate.certified:
+            # the doubling stops at its first certified m, and the
+            # bisection only probes below a certified m
+            found = certificate
+        return certificate.certified
+
+    low, high = floor, floor + 1  # low: the largest m known to fail
     while not certified(high):
         if high == m_cap:
             raise BudgetExceededError(
                 f"no certified plan with m <= cap {m_cap} (epsilon {exact_str(eps)})"
             )
         low, high = high, min(2 * high, m_cap)
-    # range(high)[i] == i, so this is the smallest certified m in (low, high]
-    m = bisect_left(range(high), True, lo=low + 1, key=certified)
-    certificate = plan_at_m(decomp, m, eps)
-    if not certificate.certified:
-        raise AssertionError(
-            f"integer probe certified m={m} but the plan's deviations do not "
-            f"beat epsilon {exact_str(eps)}"
-        )
-    return certificate
+    # range(high)[i] == i, so this probes m in (low, high) down to the
+    # smallest certified one, and leaves its certificate in found
+    bisect_left(range(high), True, lo=low + 1, key=certified)
+    return found
 
 
 def materialize(

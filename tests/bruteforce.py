@@ -18,7 +18,7 @@ from itertools import combinations, product
 from math import comb
 from random import Random
 
-from wellcovered import Graph, Polynomial, b_decomposition, choose_m, plan_at_m
+from wellcovered import Graph, Polynomial, b_decomposition, plan_at_m
 from wellcovered.enumeration import CliqueExtensionReport
 
 
@@ -69,9 +69,9 @@ def independence_polynomial_bruteforce(g: Graph) -> Polynomial:
 
 def smallest_certified_m(target, eps, m_cap: int):
     """Smallest m <= m_cap whose plan is certified, scanning every m upward
-    from ``choose_m``; None when there is none."""
+    from 1; None when there is none."""
     decomp = b_decomposition(target)
-    for m in range(choose_m(target.q, eps), m_cap + 1):
+    for m in range(1, m_cap + 1):
         if plan_at_m(decomp, m, eps).certified:
             return m
     return None

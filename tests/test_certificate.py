@@ -12,15 +12,13 @@ from wellcovered import (
     TargetSequence,
     b_decomposition,
     build_plan,
-    choose_m,
     clique_count_closed_form,
     independence_polynomial,
     is_well_covered,
     materialize,
     plan_at_m,
 )
-import wellcovered.certificate
-from wellcovered.certificate import _certification_test
+from wellcovered.certificate import _certification_floor
 from wellcovered.enumeration import check_ratio_chain
 
 THIRD = Fraction(1, 3)
@@ -87,21 +85,6 @@ def test_b_decomposition_random_roundtrip():
         assert recovered.b == tuple(b)
 
 
-# -- choose_m ---------------------------------------------------------------
-
-
-def test_choose_m():
-    assert choose_m(3, THIRD) == 25
-    assert choose_m(2, THIRD) == 13
-    assert choose_m(4, THIRD) == 49
-    for q, eps in [(2, THIRD), (5, Fraction(2, 7)), (3, 1)]:
-        m = choose_m(q, eps)
-        assert Fraction(2**q, m) < Fraction(eps)
-        assert Fraction(2**q, m - 1) >= Fraction(eps)
-    with pytest.raises(ValueError):
-        choose_m(3, 0)
-
-
 # -- plan construction --------------------------------------------------------
 
 
@@ -138,10 +121,10 @@ def test_build_plan_q3_identity():
 
 def test_build_plan_exact_fit():
     # the scaled q-clique profile needs one component and has zero error
-    cert = build_plan(target(3, [3, 3, 1]), THIRD)
-    assert [(c.k, c.m, c.copies) for c in cert.plan.components] == [(0, 25, 1)]
-    assert choose_m(3, THIRD) == 25
-    assert cert.scale == 25
+    # at every m, so the smallest, m = 1, fits under a cap of 1
+    cert = build_plan(target(3, [3, 3, 1]), THIRD, m_cap=1)
+    assert [(c.k, c.m, c.copies) for c in cert.plan.components] == [(0, 1, 1)]
+    assert cert.scale == 1
     assert cert.deviations == (Fraction(0), Fraction(0), Fraction(0))
 
 
@@ -198,41 +181,34 @@ def test_certification_floor_q3_swap():
     # w = (3, 8, 19) with L = 3: index 1 fails every m <= 3 * 3 * 8 / 3 = 24
     # and index 2 every m <= 3 * 3 * 19 / 3 = 57, the deviation 19/m >= 1/3
     decomp = b_decomposition(target(3, [3, 11, 10]))
-    certified, floor = _certification_test(decomp, THIRD)
-    assert floor == 57
+    assert _certification_floor(decomp, THIRD) == 57
     assert not plan_at_m(decomp, 57, THIRD).certified
-    assert certified(58) and plan_at_m(decomp, 58, THIRD).certified
+    assert plan_at_m(decomp, 58, THIRD).certified
 
 
-def spy_probes(monkeypatch) -> list:
-    """Record every m the search probes, in order."""
-    probed = []
-    real = wellcovered.certificate._certification_test
-
-    def spy(decomp, eps):
-        certified, floor = real(decomp, eps)
-        return lambda m: probed.append(m) or certified(m), floor
-
-    monkeypatch.setattr(wellcovered.certificate, "_certification_test", spy)
-    return probed
-
-
-def test_build_plan_refuses_a_cap_under_the_floor_before_probing(monkeypatch):
-    probed = spy_probes(monkeypatch)
+def test_build_plan_refuses_a_cap_under_the_floor_before_probing(probes):
     tgt = target(3, [3, 11, 10])
     with pytest.raises(BudgetExceededError) as err:
         build_plan(tgt, THIRD, m_cap=57)
     assert "every m <= 57" in str(err.value)
     assert "cap 57" in str(err.value)
-    assert probed == []
-    # the first m with 2^q / m < epsilon is 25, but 58 is the first probe
+    assert probes == []
     assert {c.m for c in build_plan(tgt, THIRD, m_cap=58).plan.components} == {58}
-    assert probed == [58]
-    # no floor below the first m: the cap is measured against that m
-    probed.clear()
-    with pytest.raises(BudgetExceededError, match="initial m=25 already exceeds cap 24"):
-        build_plan(target(3, [3, 3, 1]), THIRD, m_cap=24)
-    assert probed == []
+    assert probes == [58]
+    # a floor of 0 leaves every m to the search, and m = 1 is its first probe
+    probes.clear()
+    assert {c.m for c in build_plan(target(3, [3, 3, 1]), THIRD, m_cap=1).plan.components} == {1}
+    assert probes == [1]
+
+
+def test_build_plan_doubles_then_bisects(probes):
+    # b = (0, 0, 0, 0, 2, 5): every m <= 90 is proven to fail, and the
+    # second term of dev_4(m) = 15 * (2/m + 5/m^2) fails 91 and 92 as well,
+    # so the search doubles to 182 and bisects back to 93.  Its last probe,
+    # 92, fails; the certificate returned is the one probed at 93.
+    cert = build_plan(target(6, [0, 0, 0, 0, 12, 7]), THIRD)
+    assert probes == [91, 182, 137, 114, 103, 97, 94, 93, 92]
+    assert {c.m for c in cert.plan.components} == {93} and cert.certified
 
 
 # -- epsilon certificates ----------------------------------------------------------

@@ -303,27 +303,12 @@ def test_realize_mcap_probes_the_cap(capsys):
     assert "cap 57" in err
 
 
-def test_realize_builds_one_plan(capsys, monkeypatch):
+def test_realize_builds_one_plan(capsys, probes):
     # every m <= 57 is proven to fail, so the search starts at m = 58,
-    # where the one integer probe certifies; the plan is built once, there
-    built, probed = [], []
-    real_plan = wellcovered.certificate.plan_at_m
-    real_test = wellcovered.certificate._certification_test
-
-    def spy_plan(target, m, eps):
-        built.append(m)
-        return real_plan(target, m, eps)
-
-    def spy_test(decomp, eps):
-        certified, floor = real_test(decomp, eps)
-        return lambda m: probed.append(m) or certified(m), floor
-
-    monkeypatch.setattr(wellcovered.certificate, "plan_at_m", spy_plan)
-    monkeypatch.setattr(wellcovered.certificate, "_certification_test", spy_test)
+    # where its one probe certifies
     code, out, _ = run(capsys, "realize", "-q", "3", "--pi", "3,2")
     assert code == 0
-    assert probed == [58]
-    assert built == [58]
+    assert probes == [58]
 
 
 def test_realize_decomposes_once(capsys, monkeypatch):
@@ -342,26 +327,9 @@ def test_realize_decomposes_once(capsys, monkeypatch):
     assert calls == [3]
 
 
-def test_realize_uncertified_plan_is_internal_failure(capsys, monkeypatch):
-    real = wellcovered.certificate.plan_at_m
-    monkeypatch.setattr(
-        wellcovered.certificate, "plan_at_m", lambda target, m, eps: real(target, 1, eps)
-    )
-    code, out, err = run(capsys, "realize", "-q", "3", "--pi", "3,2")
-    assert code == 1
-    assert out == ""
-    assert "internal invariant failure" in err
-
-
 # each case breaks one internal invariant of the realize path from outside
 # and names the message its check raises
 BROKEN_INVARIANTS = {
-    "final plan": (
-        "import wellcovered.certificate as c\n"
-        "real = c.plan_at_m\n"
-        "c.plan_at_m = lambda target, m, eps: real(target, 1, eps)\n",
-        "do not beat epsilon",
-    ),
     "integer copies": (
         "import wellcovered.certificate as c\n"
         "c.lcm = lambda *denominators: 1\n",
@@ -484,7 +452,7 @@ def realize_pin_cases():
 
 
 # sha256 of the concatenated stdout of every case, in order, json then text
-REALIZE_STDOUT_SHA256 = "e2dd2796d312aef40884efd0b17c853967a1ceb0c1ea33e89353f58ed128b178"
+REALIZE_STDOUT_SHA256 = "51604c9e4050bcdcb59cc939ca398e5df7f062d5be083e7fcbc4bf3ab513d546"
 
 
 def test_realize_stdout_pinned(capsys):

@@ -5,10 +5,10 @@ from math import comb
 import pytest
 
 from wellcovered import (
+    BudgetExceededError,
     EpsilonCertificate,
     b_decomposition,
     build_plan,
-    choose_m,
     TailPermutation,
     build_function_graph,
     complement,
@@ -18,7 +18,7 @@ from wellcovered import (
     target_from_permutation,
     verify_on_graph,
 )
-from wellcovered.certificate import _certification_test
+from wellcovered.certificate import _certification_floor
 from wellcovered.enumeration import check_ratio_chain
 from wellcovered.tailorder import TAIL_EPSILON
 
@@ -158,17 +158,26 @@ def test_realize_all_small_tails_symbolic():
             assert (min(ms), max(ms)) == PLAN_M_RANGE[q], q
 
 
-def test_tail_plans_certify_at_the_first_probe():
-    # for tail targets the proven floor is tight: the search starts one
-    # past it, and that first probe already certifies
-    for q in range(1, 8):
-        for images in permutations(tail_indices(q)):
-            tgt = target_from_permutation(TailPermutation.from_image_list(q, images))
-            certified, floor = _certification_test(b_decomposition(tgt), TAIL_EPSILON)
-            first = max(choose_m(q, TAIL_EPSILON), floor + 1)
-            assert certified(first), (q, images)
-            plan = build_plan(tgt, TAIL_EPSILON).plan
-            assert {c.m for c in plan.components} == {first}, (q, images)
+def test_tail_plans_certify_at_the_first_probe(probes):
+    # for tail targets the proven floor is tight: the search makes one
+    # probe, one past the floor, and that probe certifies
+    cases = [(q, p) for q in range(1, 8) for p in permutations(tail_indices(q))]
+    for q in range(8, 14):
+        s = tail_indices(q)
+        cases += [(q, s), (q, s[::-1]), (q, s[1:] + s[:1])]
+    for q, images in cases:
+        tgt = target_from_permutation(TailPermutation.from_image_list(q, images))
+        first = _certification_floor(b_decomposition(tgt), TAIL_EPSILON) + 1
+        probes.clear()
+        plan = build_plan(tgt, TAIL_EPSILON).plan
+        assert probes == [first], (q, images)
+        assert {c.m for c in plan.components} == {first}, (q, images)
+    # at q = 15 the floor is past the default cap: refused, nothing probed
+    probes.clear()
+    identity = TailPermutation.from_image_list(15, tail_indices(15))
+    with pytest.raises(BudgetExceededError, match=r"every m <= 1376889 "):
+        build_plan(target_from_permutation(identity), TAIL_EPSILON)
+    assert probes == []
 
 
 def test_ordering_semantics_match_rank_reading():
