@@ -16,7 +16,6 @@ from .certificate import (
 from .enumeration import (
     binomial_ratio_check,
     check_clique_extension,
-    clique_polynomial,
     cliques_of_size,
     independence_polynomial,
     is_well_covered,
@@ -27,7 +26,6 @@ from .errors import BudgetExceededError
 from .function_graph import (
     FunctionVertex,
     build_function_graph,
-    clique_count_closed_form,
     function_vertices,
     vertex_count,
 )
@@ -39,7 +37,6 @@ from .tailorder import (
     realize,
     tail_indices,
     target_from_permutation,
-    verify_on_graph,
 )
 
 __version__ = "0.1.0"
@@ -60,8 +57,6 @@ __all__ = [
     "build_function_graph",
     "build_plan",
     "check_clique_extension",
-    "clique_count_closed_form",
-    "clique_polynomial",
     "cliques_of_size",
     "complement",
     "complete",
@@ -79,6 +74,5 @@ __all__ = [
     "tail_indices",
     "target_from_permutation",
     "to_graph6",
-    "verify_on_graph",
     "vertex_count",
 ]

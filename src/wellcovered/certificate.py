@@ -18,10 +18,10 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable, Union
+from typing import Iterable
 
 from .enumeration import check_ratio_chain
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, size_str
 from .function_graph import (
     DEFAULT_VERTEX_BUDGET,
     _validate_params,
@@ -32,13 +32,6 @@ from .graph import Graph, complement, join
 from .polynomial import exact_str
 
 DEFAULT_M_CAP = 1 << 20
-
-RationalLike = Union[Fraction, int, str]
-
-
-def _as_fraction(x: RationalLike) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
-
 
 @dataclass(frozen=True)
 class TargetSequence:
@@ -57,8 +50,9 @@ class TargetSequence:
             raise ValueError("target coefficients must be non-negative")
 
     @classmethod
-    def of(cls, q: int, values: Iterable[RationalLike]) -> "TargetSequence":
-        return cls(q, tuple(_as_fraction(v) for v in values))
+    def of(cls, q: int, values: Iterable) -> "TargetSequence":
+        """Values as anything ``Fraction`` reads, such as 3 or "3/2"."""
+        return cls(q, tuple(Fraction(v) for v in values))
 
     def a(self, t: int) -> Fraction:
         if not 1 <= t <= self.q:
@@ -108,8 +102,12 @@ class Plan:
     complement of a (k, q, m) function graph; components may differ in k
     and m.  ``predicted[t-1]`` is the join's exact independence count i_t
     for t = 1..q: a join adds counts above degree 0, and the complement's
-    independent sets are the function graph's cliques, counted by the
-    grid-validated closed form.
+    independent sets are the function graph's cliques.  A (k, q, m)
+    function graph has C(q,t) * m^(C(q,k) - C(q-t,k-t)) cliques of size t
+    (the second binomial is 0 for t > k).  This is the library's only copy
+    of that closed form; the tests check it against enumerated clique
+    counts on the function-graph grid and on graphs of up to 2,048
+    vertices.
     """
 
     q: int
@@ -243,7 +241,7 @@ def _certification_floor(decomp: BDecomposition, eps: Fraction) -> int:
 
 def build_plan(
     target: TargetSequence,
-    epsilon: RationalLike,
+    epsilon: Fraction,
     *,
     m_cap: int = DEFAULT_M_CAP,
 ) -> EpsilonCertificate:
@@ -264,7 +262,7 @@ def build_plan(
     BudgetExceededError when no m <= ``m_cap`` is certified, before any
     probe when the floor is at least ``m_cap``.
     """
-    eps = _as_fraction(epsilon)
+    eps = Fraction(epsilon)
     if eps <= 0:  # refused before the chain is read
         raise ValueError("epsilon must be positive")
     decomp = b_decomposition(target)
@@ -310,7 +308,8 @@ def materialize(
     total = plan.vertex_total()
     if total > vertex_budget:
         raise BudgetExceededError(
-            f"materialized plan needs {total} vertices, over budget {vertex_budget}"
+            f"materialized plan needs {size_str(total)} vertices, "
+            f"over budget {vertex_budget}"
         )
     parts: list[Graph] = []
     for c in plan.components:

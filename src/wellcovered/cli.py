@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from math import comb
 from pathlib import Path
 
 from .certificate import DEFAULT_M_CAP
@@ -23,7 +24,7 @@ from .enumeration import (
     independence_polynomial,
     is_well_covered,
 )
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, size_str
 from .function_graph import (
     DEFAULT_VERTEX_BUDGET,
     _validate_params,
@@ -135,11 +136,19 @@ def _check_params(args, k: int, q: int, m: int) -> None:
 def _cmd_construct(args) -> int:
     _check_params(args, args.k, args.q, args.m)
     g = build_function_graph(args.k, args.q, args.m, vertex_budget=args.budget)
-    line = to_graph6(g)
-    if args.labels:  # written first, so a failed write leaves no graph out
+    if args.labels:  # refused or written first, so a failure leaves no graph out
+        # each label holds C(q-1, k) values, which the vertex budget leaves
+        # unbounded at m = 1
+        width = comb(args.q - 1, args.k)
+        if g.n * width > args.q * args.budget:
+            raise BudgetExceededError(
+                f"--labels needs {g.n} labels of {size_str(width)} values each, over "
+                f"q * budget = {args.q * args.budget} values"
+            )
         labels = function_vertices(args.k, args.q, args.m)
         sidecar = [[lab.i, list(lab.values)] for lab in labels]
         Path(args.labels).write_text(json.dumps(sidecar))
+    line = to_graph6(g)
     if args.out:
         Path(args.out).write_bytes(line + b"\n")
     else:
@@ -148,18 +157,20 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    params = (args.pk, args.pq, args.pm)
     if args.mode == "property-p":
-        if args.pk is None or args.pq is None or args.pm is None:
+        if None in params:
             args.parser.error("--mode property-p requires -k, -q and -m")
-        _check_params(args, args.pk, args.pq, args.pm)
+        _check_params(args, *params)
+    elif params != (None, None, None):
+        args.parser.error(f"-k, -q and -m are for --mode property-p, not {args.mode}")
     g = _read_graph(args.input)
     if args.mode == "indpoly":
         payload = independence_polynomial(g).to_json()
     elif args.mode == "wellcovered":
         payload = is_well_covered(g).to_json()
     elif args.mode == "mt":
-        result = binomial_ratio_check(g)
-        payload = {"holds": result.holds, "first_violation": result.first_violation}
+        payload = binomial_ratio_check(g)._asdict()
     else:  # property-p, its parameters checked above
         payload = check_clique_extension(g, args.pk, args.pq, args.pm).to_json()
     _emit(payload, args.format, args.out)
@@ -177,7 +188,7 @@ def _cmd_realize(args) -> int:
     if args.out and report.graph is None:
         raise BudgetExceededError(
             f"--out needs the certificate materialized: plan needs "
-            f"{report.plan.vertex_total()} vertices, over budget {args.budget}"
+            f"{size_str(report.plan.vertex_total())} vertices, over budget {args.budget}"
         )
     payload = report.to_json()
     if args.out:  # written first, so a failed write prints no report

@@ -1,4 +1,4 @@
-"""Exact counting and enumeration: independence/clique polynomials,
+"""Exact counting and enumeration: the independence polynomial,
 maximal independent sets and cliques, well-coveredness, the clique
 extension property, and the binomial-ratio chain check.
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations
+from itertools import combinations
 from math import comb
 from numbers import Rational
 from typing import Callable, Iterator, NamedTuple, Optional
@@ -227,11 +227,6 @@ def independence_polynomial(g: Graph) -> Polynomial:
     return Polynomial(coeffs)
 
 
-def clique_polynomial(g: Graph) -> Polynomial:
-    """Clique-count polynomial, computed on the complement."""
-    return independence_polynomial(complement(g))
-
-
 # -- well-coveredness ---------------------------------------------------
 
 
@@ -319,42 +314,46 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
     of one, so condition 3 counts those subsets.  Condition 1 reports the
     first wrong-sized maximal clique in enumeration order; conditions 2
     and 3 report the lexicographically smallest offending clique.
+
+    The maximal cliques are read in one pass and none is kept: each
+    clique's k-subsets go straight into the count.
     """
     _validate_params(k, q, m)
-    cliques = list(maximal_cliques(g))
+    rows = g.rows
     violations: list[tuple[int, tuple[int, ...]]] = []
 
-    for cl in cliques:
-        if len(cl) != q:
-            violations.append((1, cl))
-            break
+    def k_subsets() -> Iterator[tuple[int, ...]]:
+        # conditions 1 and 2 on each maximal clique, then its k-subsets
+        wrong_size = witness = None
+        for cl in maximal_cliques(g):
+            if wrong_size is None and len(cl) != q:
+                wrong_size = cl
+            outside = -1
+            for v in cl:
+                outside ^= 1 << v
+            # subsets come in lexicographic order: stop at the first
+            # offender, or once past the smallest offender found so far
+            for s in combinations(cl, k + 1):
+                if witness is not None and s >= witness:
+                    break
+                common = outside
+                for v in s:
+                    common &= rows[v]
+                if common:
+                    witness = s
+                    break
+            # at m = 1 condition 3 holds: every clique lies in a maximal one
+            if m > 1:
+                yield from combinations(cl, k)
+        if wrong_size is not None:
+            violations.append((1, wrong_size))
+        if witness is not None:
+            violations.append((2, witness))
 
-    rows = g.rows
-    witness: Optional[tuple[int, ...]] = None
-    for cl in cliques:
-        outside = -1
-        for v in cl:
-            outside ^= 1 << v
-        # subsets come in lexicographic order: stop at the first offender,
-        # or once past the smallest offender found so far
-        for s in combinations(cl, k + 1):
-            if witness is not None and s >= witness:
-                break
-            common = outside
-            for v in s:
-                common &= rows[v]
-            if common:
-                witness = s
-                break
-    if witness is not None:
-        violations.append((2, witness))
-
-    if m > 1:  # at m = 1 it holds: every clique lies in a maximal one
-        counts = Counter(chain.from_iterable(combinations(cl, k) for cl in cliques))
-        short = [s for s, c in counts.items() if c < m]
-        if short:
-            violations.append((3, min(short)))
-
+    counts = Counter(k_subsets())
+    short = [s for s, c in counts.items() if c < m]
+    if short:
+        violations.append((3, min(short)))
     return CliqueExtensionReport(not violations, k, q, m, tuple(violations))
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, size_str
 from .graph import Graph, complete, disjoint_copies
 
 DEFAULT_VERTEX_BUDGET = 200_000
@@ -79,24 +79,30 @@ def build_function_graph(
     Vertices are in the order of :func:`function_vertices`, so repeated
     builds are identical and golden files stay stable.  Refuses
     (BudgetExceededError) when the vertex count q * m^C(q-1,k) exceeds
-    ``vertex_budget``.
+    ``vertex_budget``, without forming a count far past it.
 
     Adjacency is built per pair of sides i < j: (i, f) ~ (j, g) iff f and
     g project alike onto the k-subsets avoiding i and j, so each projection
     class is one complete bipartite block.  A class keeps one bit mask per
     side; each vertex's row takes the other side's mask of its class.
     """
-    n = vertex_count(k, q, m)
-    if n > vertex_budget:
+    _validate_params(k, q, m)
+    e = comb(q - 1, k)
+    # m^e has at least e * (bit length of m - 1) bits: past 64 of them and
+    # past the budget's bit length it is over budget, so it is not formed
+    formed = e * (m.bit_length() - 1) <= max(64, vertex_budget.bit_length())
+    n = vertex_count(k, q, m) if formed else None
+    if not formed or n > vertex_budget:
+        size = f" = {size_str(n)}" if formed else ""
         raise BudgetExceededError(
             f"function graph for (k={k}, q={q}, m={m}) needs "
-            f"{q} * {m}^{comb(q - 1, k)} = {n} vertices, over budget {vertex_budget}"
+            f"{q} * {m}^{size_str(e)}{size} vertices, over budget {vertex_budget}"
         )
     if k == 0 or m == 1:  # with m = 1 all vertices agree: one K_q
         return disjoint_copies(complete(q), m)
 
     side = n // q
-    vecs = _vectors(comb(q - 1, k), m)
+    vecs = _vectors(e, m)
     ground = range(1, q + 1)
     # each side's k-subsets in colex order, a single order on all k-subsets:
     # two sides list the subsets they share in the same relative order
@@ -119,17 +125,3 @@ def build_function_graph(
             for r, key in enumerate(keys):
                 rows[off + r] |= classes[key][1 - which]
     return Graph(n, rows)
-
-
-def clique_count_closed_form(k: int, q: int, m: int, j: int) -> int:
-    """Exact number of j-cliques: C(q,j) * m^(C(q,k) - C(q-j, k-j)).
-
-    For j >= k+1 the exponent collapses to C(q,k) (each j-clique extends
-    to a unique maximal clique, of which there are m^C(q,k)); for j <= k
-    the formula is validated against brute-force enumeration over the
-    whole test grid before anything downstream relies on it.
-    """
-    _validate_params(k, q, m)
-    if not 0 <= j <= q:
-        raise ValueError(f"need 0 <= j <= q, got j={j}")
-    return comb(q, j) * m ** (comb(q, k) - (comb(q - j, k - j) if j <= k else 0))

@@ -26,7 +26,7 @@ from .certificate import (
     build_plan,
     materialize,
 )
-from .enumeration import check_ratio_chain, independence_polynomial, is_well_covered
+from .enumeration import check_ratio_chain
 from .function_graph import DEFAULT_VERTEX_BUDGET
 from .graph import Graph
 from .graph6 import to_graph6
@@ -40,16 +40,12 @@ def _as_int(value) -> int:
     return int(value)
 
 
-def _tail_range(q: int) -> range:
-    # a range, so its length and ends cost nothing however large q is
+def tail_indices(q: int) -> range:
+    """The index set S = {ceil(q/2), ..., q}, as a range, so its length
+    and ends cost nothing however large q is."""
     if q < 1:
         raise ValueError("q must be at least 1")
     return range((q + 1) // 2, q + 1)
-
-
-def tail_indices(q: int) -> tuple[int, ...]:
-    """The index set S = {ceil(q/2), ..., q}."""
-    return tuple(_tail_range(q))
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ class TailPermutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        s = _tail_range(self.q)
+        s = tail_indices(self.q)
         if len(self.images) != len(s):
             raise ValueError(
                 f"expected {len(s)} images for the tail set "
@@ -90,26 +86,22 @@ class TailPermutation:
         if isinstance(data, tuple):
             pairs = sorted(((_as_int(t), v) for t, v in data), key=lambda pair: pair[0])
             keys = [t for t, _ in pairs]
-            s = _tail_range(q)
+            s = tail_indices(q)
             # too few keys is a wrong image count, reported without listing S
             if len(keys) >= len(s) and keys != list(s):
                 raise ValueError(f"map keys {keys} are not the tail set {list(s)}")
             data = [v for _, v in pairs]
         return cls.from_image_list(q, data)
 
-    @property
-    def domain(self) -> tuple[int, ...]:
-        return tail_indices(self.q)
-
     def pi(self, t: int) -> int:
-        i = t - (self.q + 1) // 2
-        if not 0 <= i < len(self.images):
+        s = tail_indices(self.q)
+        if t not in s:
             raise ValueError(f"index {t} not in the tail set")
-        return self.images[i]
+        return self.images[t - s.start]
 
     def by_rank(self) -> tuple[int, ...]:
         """S in prescribed rank order, lowest rank first."""
-        return tuple(sorted(self.domain, key=self.pi))
+        return tuple(sorted(tail_indices(self.q), key=self.pi))
 
     def misordered(self, count: Callable[[int], int]) -> Optional[tuple[int, int]]:
         """The first rank-adjacent pair (s, t) with count(s) >= count(t), or None."""
@@ -126,8 +118,8 @@ def target_from_permutation(p: TailPermutation) -> TargetSequence:
     1 + 2/q, which consecutive binomials above q/2 also dominate.
     """
     q = p.q
-    head = [Fraction(comb(q, t)) for t in range(1, (q + 1) // 2)]
-    tail = [Fraction((1 << q) + p.pi(t)) for t in p.domain]
+    head = [Fraction(comb(q, t)) for t in range(1, tail_indices(q).start)]
+    tail = [Fraction((1 << q) + image) for image in p.images]
     target = TargetSequence(q, tuple(head + tail))
     check = check_ratio_chain(q, target.a)
     if not check.holds:
@@ -143,24 +135,17 @@ TAIL_EPSILON = Fraction(1, 3)
 
 
 @dataclass(frozen=True)
-class GraphCheck:
-    ok: bool
-    reason: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class RealizationReport:
     """Outcome of the full pipeline for one tail permutation.
 
-    ``chain`` lists (index, exact predicted count) pairs sorted by
-    prescribed rank; ``ordering_verified`` says those counts strictly
-    increase.  It must be True for every valid permutation; False would
-    signal an internal failure, not a user error.
+    Everything it reports about the order is read off the plan's exact
+    predicted counts: ``ordering_verified`` says they strictly increase in
+    prescribed rank order.  It must be True for every valid permutation;
+    False would signal an internal failure, not a user error.
     """
 
+    permutation: TailPermutation
     certificate: EpsilonCertificate
-    chain: tuple[tuple[int, int], ...]
-    ordering_verified: bool
     graph: Optional[Graph] = None
 
     @property
@@ -171,16 +156,22 @@ class RealizationReport:
     def materialized(self) -> bool:
         return self.graph is not None
 
+    @property
+    def ordering_verified(self) -> bool:
+        predicted = self.plan.predicted
+        return self.permutation.misordered(lambda t: predicted[t - 1]) is None
+
     def to_json(self) -> dict:
         plan = self.certificate.to_json()
+        ranked = self.permutation.by_rank()
         out = {
             "plan": plan,
             "target": self.certificate.target.to_json(),
             "epsilon": exact_str(self.certificate.epsilon),
             "ordering_verified": self.ordering_verified,
-            "ordering": [t for t, _ in self.chain],
-            # the chain's counts are the plan's, already in decimal
-            "counts": [plan["predicted"][t - 1] for t, _ in self.chain],
+            "ordering": list(ranked),
+            # the plan's counts, already in decimal
+            "counts": [plan["predicted"][t - 1] for t in ranked],
             "materialized": self.materialized,
         }
         if self.graph is not None:
@@ -202,33 +193,7 @@ def realize(
     target = target_from_permutation(p)
     certificate = build_plan(target, TAIL_EPSILON, m_cap=m_cap)
     plan = certificate.plan
-    chain = tuple((t, plan.predicted[t - 1]) for t in p.by_rank())
-    ordering_verified = p.misordered(lambda t: plan.predicted[t - 1]) is None
     graph = None
     if plan.vertex_total() <= vertex_budget:
         graph = materialize(plan, vertex_budget=vertex_budget)
-    return RealizationReport(certificate, chain, ordering_verified, graph)
-
-
-def verify_on_graph(g: Graph, p: TailPermutation) -> GraphCheck:
-    """Check, on a real graph, everything the pipeline promises: well-
-    covered, independence number q, and the prescribed strict tail order
-    of the true independence counts."""
-    report = is_well_covered(g)
-    if not report.is_well_covered:
-        sizes = sorted(len(w) for w in report.witness)
-        return GraphCheck(False, f"not well-covered: maximal set sizes {sizes}")
-    if report.alpha != p.q:
-        return GraphCheck(
-            False, f"independence number {report.alpha} != q = {p.q}"
-        )
-    poly = independence_polynomial(g)
-    bad = p.misordered(poly.coefficient)
-    if bad is not None:
-        s, t = bad
-        return GraphCheck(
-            False,
-            f"ordering violated: i_{s} = {poly.coefficient(s)} "
-            f"!< i_{t} = {poly.coefficient(t)}",
-        )
-    return GraphCheck(True, None)
+    return RealizationReport(p, certificate, graph)

@@ -11,14 +11,27 @@ The exceptions are the order references: a recursive Bron-Kerbosch that
 fixes the order in which maximal cliques are enumerated, and a clique
 extension check that counts the maximal cliques containing each clique
 with membership bitmasks.  The library routines must match them exactly,
-witnesses included.
+witnesses included.  Two more are written out from their statements: the
+clique-count closed form of a function graph, with the reason it holds, and
+``verify_on_graph``, the whole tail-order promise checked on a real graph
+with the library's enumerators.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 from random import Random
+from typing import Optional
 
-from wellcovered import Graph, Polynomial, b_decomposition, plan_at_m
+from wellcovered import (
+    Graph,
+    Polynomial,
+    TailPermutation,
+    b_decomposition,
+    independence_polynomial,
+    is_well_covered,
+    plan_at_m,
+)
 from wellcovered.enumeration import CliqueExtensionReport
 
 
@@ -92,6 +105,22 @@ def kneser(n: int, k: int) -> Graph:
 
 
 # -- function graphs ----------------------------------------------------------
+
+
+def clique_count_closed_form(k: int, q: int, m: int, j: int) -> int:
+    """Number of j-cliques of the (k, q, m) function graph:
+    C(q,j) * m^(C(q,k) - C(q-j, k-j)), the second binomial 0 for j > k.
+
+    A j-clique on a j-set J of coordinates fixes the value of every
+    k-subset that misses some coordinate of J, and of no other: the
+    C(q-j, k-j) k-subsets that contain J stay free (none when j > k).
+    """
+    if not 0 <= k < q or m < 1:
+        raise ValueError(f"need 0 <= k < q and m >= 1, got k={k}, q={q}, m={m}")
+    if not 0 <= j <= q:
+        raise ValueError(f"need 0 <= j <= q, got j={j}")
+    free = comb(q - j, k - j) if j <= k else 0
+    return comb(q, j) * m ** (comb(q, k) - free)
 
 
 def colex_rank(subset, ground) -> int:
@@ -304,3 +333,31 @@ def from_graph6_bitwise(data: bytes) -> Graph:
                 rows[v] |= 1 << u
             pos += 1
     return Graph(n, rows)
+
+
+@dataclass(frozen=True)
+class GraphCheck:
+    ok: bool
+    reason: Optional[str] = None
+
+
+def verify_on_graph(g: Graph, p: TailPermutation) -> GraphCheck:
+    """Check, on a real graph, everything the pipeline promises: well-
+    covered, independence number q, and the prescribed strict tail order
+    of the true independence counts."""
+    report = is_well_covered(g)
+    if not report.is_well_covered:
+        sizes = sorted(len(w) for w in report.witness)
+        return GraphCheck(False, f"not well-covered: maximal set sizes {sizes}")
+    if report.alpha != p.q:
+        return GraphCheck(False, f"independence number {report.alpha} != q = {p.q}")
+    poly = independence_polynomial(g)
+    bad = p.misordered(poly.coefficient)
+    if bad is not None:
+        s, t = bad
+        return GraphCheck(
+            False,
+            f"ordering violated: i_{s} = {poly.coefficient(s)} "
+            f"!< i_{t} = {poly.coefficient(t)}",
+        )
+    return GraphCheck(True, None)

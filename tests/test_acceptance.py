@@ -14,6 +14,8 @@ from random import Random
 import pytest
 
 from wellcovered import (
+    Plan,
+    PlanComponent,
     TailPermutation,
     TargetSequence,
     b_decomposition,
@@ -21,8 +23,6 @@ from wellcovered import (
     build_function_graph,
     build_plan,
     check_clique_extension,
-    clique_count_closed_form,
-    clique_polynomial,
     cliques_of_size,
     complement,
     complete,
@@ -37,10 +37,14 @@ from wellcovered import (
     target_from_permutation,
     to_graph6,
     from_graph6,
-    verify_on_graph,
 )
 
-from bruteforce import independence_polynomial_bruteforce, kneser, random_graph
+from bruteforce import (
+    independence_polynomial_bruteforce,
+    kneser,
+    random_graph,
+    verify_on_graph,
+)
 
 THIRD = Fraction(1, 3)
 
@@ -91,16 +95,18 @@ def test_criterion_1_property_grid(grid_graphs):
 
 def test_criterion_2_closed_form_vs_oracle(grid_graphs):
     start = time.monotonic()
+    # the closed form is the one realize reports: a plan of one copy of the
+    # complement predicts the graph's clique counts
     for (k, q, m), g in grid_graphs.items():
-        poly = clique_polynomial(g)
-        assert poly.degree == q
-        for j in range(q + 1):
-            assert poly.coefficient(j) == clique_count_closed_form(k, q, m, j), (k, q, m, j)
-    spot = clique_polynomial(grid_graphs[(1, 3, 2)])
+        cliques = independence_polynomial(complement(g))
+        assert cliques.degree == q
+        plan = Plan(q, (PlanComponent(k, m, 1),))
+        assert tuple(cliques)[1:] == plan.predicted, (k, q, m)
+    spot = independence_polynomial(complement(grid_graphs[(1, 3, 2)]))
     assert list(spot) == [1, 12, 24, 8]
     elapsed = time.monotonic() - start
-    print(f"\nACCEPTANCE 2 PASS ({elapsed:.1f}s): clique-count closed form "
-          f"matches exhaustive enumeration on all {len(GRID)} grid points")
+    print(f"\nACCEPTANCE 2 PASS ({elapsed:.1f}s): the plan's closed-form clique "
+          f"counts match exhaustive enumeration on all {len(GRID)} grid points")
 
 
 def test_criterion_3_complements_well_covered(grid_graphs):
@@ -200,8 +206,8 @@ def test_criterion_7_q4_q5_realizations():
             p = TailPermutation.from_image_list(q, images)
             report = realize(p, vertex_budget=1)
             assert report.ordering_verified, (q, images)
-            # the chain is the exact symbolic counts in prescribed rank order
-            counts = [c for _, c in report.chain]
+            # the exact symbolic counts in prescribed rank order
+            counts = [report.plan.predicted[t - 1] for t in p.by_rank()]
             assert counts == sorted(counts)
             assert len(set(counts)) == len(counts)
             checked += 1

@@ -12,7 +12,6 @@ from wellcovered import (
     TargetSequence,
     b_decomposition,
     build_plan,
-    clique_count_closed_form,
     independence_polynomial,
     is_well_covered,
     materialize,
@@ -20,6 +19,8 @@ from wellcovered import (
 )
 from wellcovered.certificate import _certification_floor
 from wellcovered.enumeration import check_ratio_chain
+
+from bruteforce import clique_count_closed_form
 
 THIRD = Fraction(1, 3)
 

@@ -161,6 +161,57 @@ def test_construct_budget_refusal(capsys):
     assert code == 2
 
 
+def test_construct_labels_bounded_by_budget(tmp_path, capsys):
+    # (2,5,2) has 320 labels of C(4,2) = 6 values, 1,920 in all: within
+    # q * budget at budget 384, over it at 383, where the graph still fits
+    out, labels = tmp_path / "f.g6", tmp_path / "f.json"
+    argv = ["construct", "-k", "2", "-q", "5", "-m", "2", "--out", str(out), "--labels", str(labels)]
+    code, _, err = run(capsys, *argv, "--budget", "383")
+    assert code == 2
+    assert "320 labels of 6 values each, over q * budget = 1915 values" in err
+    assert not out.exists() and not labels.exists()
+    code, _, _ = run(capsys, *argv, "--budget", "384")
+    assert code == 0
+    assert len(json.loads(labels.read_text())) == 320 and out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # 2^635745396 runs past the int-to-str digit limit, and 3^635745396
+        # takes minutes to form
+        (["construct", "-k", "10", "-q", "40", "-m", "2", "--labels", "{labels}"],
+         "needs 40 * 2^635745396 vertices, over budget 200000"),
+        (["construct", "-k", "10", "-q", "40", "-m", "3"],
+         "needs 40 * 3^635745396 vertices, over budget 200000"),
+        # the exponent C(19999, 10000) itself has about 6,000 digits
+        (["construct", "-k", "10000", "-q", "20000", "-m", "2"],
+         "needs 20000 * 2^2^19991 or more vertices"),
+        # K_40 fits, but each of its labels would hold 635,745,396 values
+        (["construct", "-k", "10", "-q", "40", "-m", "1", "--labels", "{labels}"],
+         "--labels needs 40 labels of 635745396 values each"),
+        # the plan's vertex count has about 4,750 digits
+        (["realize", "-q", "12", "--pi", "12,11,10,9,8,7,6"],
+         "plan needs 2^15769 or more vertices, over budget 200000"),
+    ],
+    ids=["construct-m2", "construct-m3", "construct-exponent", "construct-labels", "realize-q12"],
+)
+def test_huge_refusals_are_quick_and_short(tmp_path, argv, message):
+    out, labels = tmp_path / "f.g6", tmp_path / "f.json"
+    argv = [a.format(labels=labels) for a in argv] + ["--out", str(out)]
+    result = subprocess.run(
+        [sys.executable, "-m", "wellcovered.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=10,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stdout == ""
+    assert message in result.stderr and len(result.stderr) < 1000
+    assert not out.exists() and not labels.exists()
+
+
 # -- check ---------------------------------------------------------------------
 
 
@@ -446,7 +497,7 @@ def realize_pin_cases():
     reversal and a rotation by one for each q = 7..13."""
     cases = [(q, p) for q in range(1, 7) for p in permutations(tail_indices(q))]
     for q in range(7, 14):
-        s = tail_indices(q)
+        s = tuple(tail_indices(q))
         cases += [(q, s), (q, s[::-1]), (q, s[1:] + s[:1])]
     return cases
 
@@ -549,6 +600,10 @@ def test_usage_errors(capsys):
         (["construct", "-k", "3", "-q", "2", "-m", "2"], "construct"),
         (["construct", "-k", "0", "-q", "2", "-m", "0"], "construct"),
         (["check", "{path}", "--mode", "property-p", "-k", "2", "-q", "2", "-m", "1"], "check"),
+        # -k/-q/-m belong to property-p alone
+        (["check", "{path}", "--mode", "indpoly", "-k", "7", "-q", "1", "-m", "0"], "check"),
+        (["check", "{path}", "--mode", "mt", "-k", "1"], "check"),
+        (["check", "{path}", "--mode", "wellcovered", "-m", "2"], "check"),
     ],
     ids=[
         "property-p-params",
@@ -562,6 +617,9 @@ def test_usage_errors(capsys):
         "construct-k",
         "construct-m",
         "property-p-k",
+        "indpoly-params",
+        "mt-k",
+        "wellcovered-m",
     ],
 )
 def test_usage_errors_after_parsing_print_subcommand_usage(tmp_path, capsys, argv, command):

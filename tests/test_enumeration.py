@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 from random import Random
 
@@ -12,7 +13,6 @@ from wellcovered import (
     binomial_ratio_check,
     build_function_graph,
     check_clique_extension,
-    clique_polynomial,
     cliques_of_size,
     complement,
     complete,
@@ -115,13 +115,18 @@ def test_bruteforce_oracle_bound():
 
 
 def test_clique_polynomial():
-    assert clique_polynomial(complete(3)) == Polynomial([1, 3, 3, 1])
-    assert clique_polynomial(disjoint_copies(complete(3), 2)) == Polynomial([1, 6, 6, 2])
-    assert clique_polynomial(build_function_graph(1, 3, 2)) == Polynomial([1, 12, 24, 8])
+    # the clique polynomial of g is the independence polynomial of its complement
+    def cliques(g):
+        return independence_polynomial(complement(g))
+
+    assert cliques(complete(3)) == Polynomial([1, 3, 3, 1])
+    assert cliques(disjoint_copies(complete(3), 2)) == Polynomial([1, 6, 6, 2])
+    assert cliques(build_function_graph(1, 3, 2)) == Polynomial([1, 12, 24, 8])
     rng = Random(7)
     for _ in range(15):
         g = bruteforce.random_graph(rng, rng.randint(0, 10))
-        assert clique_polynomial(g) == independence_polynomial(complement(g))
+        counts = [len(bruteforce.cliques_of_size(g, j)) for j in range(g.n + 1)]
+        assert cliques(g) == Polynomial(counts)
 
 
 # -- maximal set enumeration ---------------------------------------------
@@ -239,6 +244,21 @@ def test_condition_1_witness_is_first_in_enumeration_order():
     report = check_clique_extension(g, 1, 3, 1)
     assert report.violations[0] == (1, (1, 2))
     assert report == bruteforce.check_clique_extension(g, 1, 3, 1)
+
+
+def test_check_clique_extension_keeps_no_clique_list():
+    # (1,3,16) has 4,096 maximal cliques on 768 vertices.  Read in one pass,
+    # the peak is the count of the 768 k-subsets, about 73 kB; a list of
+    # the cliques and a second pass over it peaked at 485 kB
+    g = build_function_graph(1, 3, 16)
+    tracemalloc.start()
+    try:
+        report = check_clique_extension(g, 1, 3, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.holds
+    assert peak < 200_000, peak
 
 
 def test_check_clique_extension_param_validation():

@@ -7,20 +7,22 @@ import pytest
 from wellcovered import (
     BudgetExceededError,
     FunctionVertex,
+    Plan,
+    PlanComponent,
     build_function_graph,
     check_clique_extension,
-    clique_count_closed_form,
-    clique_polynomial,
     complement,
     complete,
     disjoint_copies,
     function_vertices,
+    independence_polynomial,
     is_well_covered,
     maximal_cliques,
     vertex_count,
 )
 
 import bruteforce
+from bruteforce import clique_count_closed_form
 
 # every parameter triple with 0 <= k < q <= 5, 1 <= m <= 4 that stays
 # within 200 vertices; the acceptance suite runs the same grid
@@ -176,15 +178,14 @@ def test_coverage_multiplicities_on_grid():
 
 
 def test_closed_form_against_enumeration():
-    # the last four reach n = 2048, beyond the 200-vertex grid
+    # the closed form realize reports, Plan.predicted, against enumerated
+    # clique counts; the last four reach n = 2048, beyond the 200-vertex grid
     cases = [(1, 3, 2), (1, 3, 3), (2, 3, 4), (1, 4, 2), (3, 4, 2), (0, 4, 4)]
     cases += [(1, 4, 8), (1, 3, 20), (2, 4, 5), (1, 5, 4)]
     for k, q, m in cases:
-        h = build_function_graph(k, q, m)
-        poly = clique_polynomial(h)
-        for j in range(q + 1):
-            assert poly.coefficient(j) == clique_count_closed_form(k, q, m, j), (k, q, m, j)
-        assert poly.degree == q
+        cliques = independence_polynomial(complement(build_function_graph(k, q, m)))
+        assert cliques.degree == q
+        assert tuple(cliques)[1:] == Plan(q, (PlanComponent(k, m, 1),)).predicted, (k, q, m)
 
 
 def test_closed_form_examples():
@@ -194,6 +195,7 @@ def test_closed_form_examples():
     assert clique_count_closed_form(0, 3, 5, 2) == 15
     assert clique_count_closed_form(2, 3, 2, 1) == 6 == vertex_count(2, 3, 2)
     assert clique_count_closed_form(1, 3, 2, 0) == 1
+    assert Plan(3, (PlanComponent(1, 2, 1),)).predicted == (12, 24, 8)
     with pytest.raises(ValueError):
         clique_count_closed_form(1, 3, 2, 4)
     with pytest.raises(ValueError):

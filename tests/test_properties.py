@@ -30,8 +30,7 @@ from wellcovered import (
     b_decomposition,
     build_plan,
     check_clique_extension,
-    clique_count_closed_form,
-    clique_polynomial,
+    complement,
     from_graph6,
     independence_polynomial,
     is_well_covered,
@@ -47,6 +46,7 @@ from wellcovered.enumeration import check_ratio_chain
 
 import bruteforce
 from bruteforce import (
+    clique_count_closed_form,
     independence_polynomial_bruteforce,
     smallest_certified_m,
     to_graph6_bitwise,
@@ -94,7 +94,7 @@ def test_join_adds_above_degree_zero(g, h):
 @given(nested_graphs(14))
 def test_clique_polynomial_counts_cliques(g):
     counts = [len(bruteforce.cliques_of_size(g, j)) for j in range(g.n + 1)]
-    assert clique_polynomial(g) == Polynomial(counts)
+    assert independence_polynomial(complement(g)) == Polynomial(counts)
 
 
 @st.composite
