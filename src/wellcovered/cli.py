@@ -105,14 +105,14 @@ def _render_text(payload, indent: int = 0) -> str:
     if isinstance(payload, dict):
         lines = []
         for key, value in payload.items():
-            if isinstance(value, (dict, list)):
+            if isinstance(value, (dict, list, tuple)):
                 lines.append(f"{pad}{key}:")
                 lines.append(_render_text(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {value}")
         return "\n".join(lines)
-    if isinstance(payload, list):
-        if all(not isinstance(v, (dict, list)) for v in payload):
+    if isinstance(payload, (list, tuple)):
+        if all(not isinstance(v, (dict, list, tuple)) for v in payload):
             return f"{pad}{', '.join(str(v) for v in payload)}"
         return "\n".join(_render_text(v, indent) for v in payload)
     return f"{pad}{payload}"
@@ -145,9 +145,7 @@ def _cmd_construct(args) -> int:
                 f"--labels needs {g.n} labels of {size_str(width)} values each, over "
                 f"q * budget = {args.q * args.budget} values"
             )
-        labels = function_vertices(args.k, args.q, args.m)
-        sidecar = [[lab.i, list(lab.values)] for lab in labels]
-        Path(args.labels).write_text(json.dumps(sidecar))
+        Path(args.labels).write_text(json.dumps(function_vertices(args.k, args.q, args.m)))
     line = to_graph6(g)
     if args.out:
         Path(args.out).write_bytes(line + b"\n")
@@ -168,7 +166,7 @@ def _cmd_check(args) -> int:
     if args.mode == "indpoly":
         payload = independence_polynomial(g).to_json()
     elif args.mode == "wellcovered":
-        payload = is_well_covered(g).to_json()
+        payload = is_well_covered(g)._asdict()
     elif args.mode == "mt":
         payload = binomial_ratio_check(g)._asdict()
     else:  # property-p, its parameters checked above

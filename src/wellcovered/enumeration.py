@@ -130,6 +130,65 @@ def cliques_of_size(g: Graph, j: int) -> Iterator[tuple[int, ...]]:
 _MEMO_ENTRIES = 1 << 14
 
 
+def _solve(mask: int, rows, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """Coefficients of the independence polynomial of the graph induced on
+    mask; the rules are those of :func:`independence_polynomial`."""
+    size = mask.bit_count()
+    if size == 0:
+        return (1,)
+    if size == 1:
+        return (1, 1)
+    out = memo.get(mask)
+    if out is not None:
+        return out
+    comps = _components(mask, rows)
+    if len(comps) > 1:
+        big = [c for c in comps if c & (c - 1)]
+        singles = len(comps) - len(big)
+        product = Polynomial([comb(singles, t) for t in range(singles + 1)])
+        for c in big:  # not math.prod: its C frame per level meets 3.12's C recursion cap
+            product *= Polynomial(_solve(c, rows, memo))
+        out = product.coeffs
+    else:
+        # connected: the edge count picks the rule
+        pivot = -1
+        best = -1
+        degree_sum = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            d = (rows[u] & mask).bit_count()
+            degree_sum += d
+            if d > best:
+                best = d
+                pivot = u
+            rest ^= low
+        if 2 * degree_sum > size * (size - 1):
+            # more edges than non-edges: expand on the first vertex
+            acc = [1, 0]
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                for t, c in enumerate(_solve(rest & ~rows[low.bit_length() - 1], rows, memo)):
+                    if t + 1 < len(acc):
+                        acc[t + 1] += c
+                    else:
+                        acc.append(c)
+        else:
+            acc = list(_solve(mask & ~(1 << pivot), rows, memo))
+            with_pivot = _solve(mask & ~(rows[pivot] | (1 << pivot)), rows, memo)
+            if len(acc) < len(with_pivot) + 1:
+                acc.extend([0] * (len(with_pivot) + 1 - len(acc)))
+            for t, c in enumerate(with_pivot):
+                acc[t + 1] += c
+        out = tuple(acc)
+    if len(memo) < _MEMO_ENTRIES:
+        memo[mask] = out
+    return out
+
+
 def independence_polynomial(g: Graph) -> Polynomial:
     """Exact independence polynomial.
 
@@ -154,84 +213,18 @@ def independence_polynomial(g: Graph) -> Polynomial:
     (n = 50, p = 0.15), 1.5 s (60, 0.08) and 12.5 s (80, 0.05), against
     0.21, 0.60 and 6.0 s with a search for joins (Python 3.11, one core).
     """
-    rows = g.rows
-    n = g.n
-    memo: dict[int, tuple[int, ...]] = {}
-
-    def solve(mask: int) -> tuple[int, ...]:
-        size = mask.bit_count()
-        if size == 0:
-            return (1,)
-        if size == 1:
-            return (1, 1)
-        out = memo.get(mask)
-        if out is not None:
-            return out
-        comps = _components(mask, rows)
-        if len(comps) > 1:
-            big = [c for c in comps if c & (c - 1)]
-            singles = len(comps) - len(big)
-            product = Polynomial([comb(singles, t) for t in range(singles + 1)])
-            for c in big:  # not math.prod: its C frame per level meets 3.12's C recursion cap
-                product *= Polynomial(solve(c))
-            out = product.coeffs
-        else:
-            # connected: the edge count picks the rule
-            pivot = -1
-            best = -1
-            degree_sum = 0
-            rest = mask
-            while rest:
-                low = rest & -rest
-                u = low.bit_length() - 1
-                d = (rows[u] & mask).bit_count()
-                degree_sum += d
-                if d > best:
-                    best = d
-                    pivot = u
-                rest ^= low
-            if 2 * degree_sum > size * (size - 1):
-                # more edges than non-edges: expand on the first vertex
-                acc = [1, 0]
-                rest = mask
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    for t, c in enumerate(solve(rest & ~rows[low.bit_length() - 1])):
-                        if t + 1 < len(acc):
-                            acc[t + 1] += c
-                        else:
-                            acc.append(c)
-            else:
-                acc = list(solve(mask & ~(1 << pivot)))
-                with_pivot = solve(mask & ~(rows[pivot] | (1 << pivot)))
-                if len(acc) < len(with_pivot) + 1:
-                    acc.extend([0] * (len(with_pivot) + 1 - len(acc)))
-                for t, c in enumerate(with_pivot):
-                    acc[t + 1] += c
-            out = tuple(acc)
-        if len(memo) < _MEMO_ENTRIES:
-            memo[mask] = out
-        return out
-
     limit = sys.getrecursionlimit()
-    bumped = max(limit, 3 * n + 200)
-    sys.setrecursionlimit(bumped)
+    sys.setrecursionlimit(max(limit, 3 * g.n + 200))
     try:
-        coeffs = solve((1 << n) - 1)
+        return Polynomial(_solve((1 << g.n) - 1, g.rows, {}))
     finally:
         sys.setrecursionlimit(limit)
-        # solve holds itself through its closure; breaking that cycle frees
-        # the memo now, not at the next collection
-        del solve
-    return Polynomial(coeffs)
 
 
 # -- well-coveredness ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WellCoveredReport:
+class WellCoveredReport(NamedTuple):
     """Outcome of the well-coveredness test.
 
     ``witness`` is a pair of maximal independent sets of distinct sizes
@@ -242,13 +235,6 @@ class WellCoveredReport:
     is_well_covered: bool
     alpha: int
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
-
-    def to_json(self) -> dict:
-        return {
-            "is_well_covered": self.is_well_covered,
-            "alpha": self.alpha,
-            "witness": None if self.witness is None else [list(s) for s in self.witness],
-        }
 
 
 def is_well_covered(g: Graph) -> WellCoveredReport:

@@ -16,9 +16,9 @@ number q.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
+from typing import NamedTuple
 
 from .errors import BudgetExceededError, size_str
 from .graph import Graph, complete, disjoint_copies
@@ -26,8 +26,7 @@ from .graph import Graph, complete, disjoint_copies
 DEFAULT_VERTEX_BUDGET = 200_000
 
 
-@dataclass(frozen=True)
-class FunctionVertex:
+class FunctionVertex(NamedTuple):
     """Label of one vertex: the omitted coordinate i (1-based) and the
     assignment vector over the k-subsets of {1..q}\\{i} in colex order,
     values in 1..m."""
@@ -51,11 +50,7 @@ def vertex_count(k: int, q: int, m: int) -> int:
 
 def _vectors(length: int, m: int) -> list[tuple[int, ...]]:
     """All assignment vectors in rank order (position 0 varies fastest)."""
-    powers = [m**p for p in range(length)]
-    return [
-        tuple(r // powers[p] % m + 1 for p in range(length))
-        for r in range(m**length)
-    ]
+    return [v[::-1] for v in product(range(1, m + 1), repeat=length)]
 
 
 def function_vertices(k: int, q: int, m: int) -> tuple[FunctionVertex, ...]:

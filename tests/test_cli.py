@@ -6,6 +6,7 @@ import sys
 from decimal import Decimal
 from itertools import permutations
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -15,6 +16,7 @@ import wellcovered.tailorder
 from wellcovered import (
     Graph,
     build_function_graph,
+    complement,
     complete,
     from_graph6,
     tail_indices,
@@ -22,7 +24,7 @@ from wellcovered import (
 )
 from wellcovered.cli import main
 
-from bruteforce import kneser
+from bruteforce import kneser, random_graph
 
 
 def write_graph(tmp_path, name, g):
@@ -518,6 +520,53 @@ def test_realize_stdout_pinned(capsys):
             assert code == 0, (q, images, fmt)
             digest.update(out.encode("ascii"))
     assert digest.hexdigest() == REALIZE_STDOUT_SHA256
+
+
+def check_pin_graphs():
+    """12 seeded random graphs on at most 11 vertices, the (1,3,2), (2,4,2)
+    and (0,3,2) function graphs and their complements, and the complement
+    of (1,3,14); each with its (k, q, m) when it is a function graph."""
+    rng = Random(19)
+    cases = [
+        (random_graph(rng, rng.randint(1, 11), rng.choice((0.3, 0.5, 0.7))), None)
+        for _ in range(12)
+    ]
+    for kqm in ((1, 3, 2), (2, 4, 2), (0, 3, 2)):
+        g = build_function_graph(*kqm)
+        cases += [(g, kqm), (complement(g), None)]
+    cases.append((complement(build_function_graph(1, 3, 14)), None))
+    return cases
+
+
+# sha256 of the concatenated stdout of every check, in order, json then
+# text, followed by the label sidecar of each construct
+CHECK_STDOUT_SHA256 = "0871b467db7196c657b13f9bc42effdabab3ea5c4bba76f49ebf25aab51e6a91"
+
+
+def test_check_stdout_pinned(tmp_path, capsys):
+    digest = hashlib.sha256()
+    refused = 0
+    for index, (g, kqm) in enumerate(check_pin_graphs()):
+        path = write_graph(tmp_path, f"{index}.g6", g)
+        modes = [["--mode", mode] for mode in ("wellcovered", "indpoly", "mt")]
+        if kqm:
+            k, q, m = map(str, kqm)
+            modes.append(["--mode", "property-p", "-k", k, "-q", q, "-m", m])
+        for mode in modes:
+            for fmt in ("json", "text"):
+                code, out, _ = run(capsys, "check", path, *mode, "--format", fmt)
+                # mt refuses a graph that is not well-covered, printing nothing
+                assert code in (0, 3), (index, mode, fmt)
+                refused += code == 3
+                digest.update(out.encode("ascii"))
+    assert refused
+    for k, q, m in ((0, 3, 2), (1, 3, 2), (2, 4, 2), (1, 4, 3), (3, 5, 2)):
+        labels = tmp_path / f"labels-{k}-{q}-{m}.json"
+        code, _, _ = run(capsys, "construct", "-k", str(k), "-q", str(q), "-m", str(m),
+                         "--labels", str(labels))
+        assert code == 0, (k, q, m)
+        digest.update(labels.read_bytes())
+    assert digest.hexdigest() == CHECK_STDOUT_SHA256
 
 
 def test_realize_pi_json_map(capsys):

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 from math import comb
 from random import Random
@@ -109,6 +110,18 @@ def test_polynomial_of_long_path():
     assert list(independence_polynomial(path(n))) == expected
 
 
+def test_independence_polynomial_leaves_no_reference_cycle():
+    # the memo is freed when the call returns, not at the next collection
+    g = complement(build_function_graph(1, 3, 3))
+    gc.collect()
+    gc.disable()
+    try:
+        independence_polynomial(g)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_bruteforce_oracle_bound():
     with pytest.raises(ValueError):
         independence_polynomial_bruteforce(Graph(21, [0] * 21))
@@ -188,7 +201,7 @@ def test_is_well_covered():
 
 
 def test_well_covered_json():
-    data = is_well_covered(path(3)).to_json()
+    data = is_well_covered(path(3))._asdict()
     assert data["is_well_covered"] is False
     assert data["alpha"] == 2
     assert len(data["witness"]) == 2

@@ -9,7 +9,8 @@ it, predicted counts and deviations of large symbolic plans against the
 closed form and Fraction arithmetic, the integer ratio-chain check against
 Fraction comparison, materialized plans of mixed k and m against their
 predicted counts, and the enumeration order and clique extension
-witnesses against the recursive references on random graphs."""
+witnesses against the recursive references on random graphs.  Relabelling
+a graph changes none of the answers read off it."""
 
 from fractions import Fraction
 from math import comb
@@ -28,6 +29,7 @@ from wellcovered import (
     Polynomial,
     TargetSequence,
     b_decomposition,
+    build_function_graph,
     build_plan,
     check_clique_extension,
     complement,
@@ -37,6 +39,7 @@ from wellcovered import (
     join,
     materialize,
     maximal_cliques,
+    maximal_independent_sets,
     plan_at_m,
     to_graph6,
     vertex_count,
@@ -131,6 +134,35 @@ def test_clique_extension_matches_membership_reference(g, k, dq, m):
 @given(random_graphs(14))
 def test_independence_polynomial_matches_subset_count(g):
     assert independence_polynomial(g) == independence_polynomial_bruteforce(g)
+
+
+def relabel(g: Graph, sigma) -> Graph:
+    """g with each vertex v renamed sigma[v]."""
+    return Graph.from_edges(g.n, [(sigma[u], sigma[v]) for u, v in g.edges()])
+
+
+def assert_relabelling_changes_no_answer(g: Graph, sigma, sets=maximal_cliques):
+    h = relabel(g, sigma)
+    assert independence_polynomial(h) == independence_polynomial(g)
+    before, after = is_well_covered(g), is_well_covered(h)
+    assert (after.is_well_covered, after.alpha) == (before.is_well_covered, before.alpha)
+    assert set(map(frozenset, sets(h))) == {frozenset(sigma[v] for v in s) for s in sets(g)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_relabelling_changes_no_answer(data):
+    g = data.draw(random_graphs(14))
+    assert_relabelling_changes_no_answer(g, data.draw(st.permutations(range(g.n))))
+
+
+def test_relabelled_function_graph_complement_changes_no_answer():
+    # the complement of (2,4,4) has too many maximal cliques to list, so
+    # its 4,096 maximal independent sets stand in for them
+    g = complement(build_function_graph(2, 4, 4))
+    sigma = list(range(g.n))
+    Random(1).shuffle(sigma)
+    assert_relabelling_changes_no_answer(g, sigma, maximal_independent_sets)
 
 
 @st.composite
