@@ -8,7 +8,6 @@ from .certificate import (
     Plan,
     PlanComponent,
     TargetSequence,
-    b_decomposition,
     build_plan,
     materialize,
     plan_at_m,
@@ -52,7 +51,6 @@ __all__ = [
     "Polynomial",
     "TailPermutation",
     "TargetSequence",
-    "b_decomposition",
     "binomial_ratio_check",
     "build_function_graph",
     "build_plan",

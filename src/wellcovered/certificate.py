@@ -18,7 +18,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm
-from typing import Iterable
 
 from .enumeration import check_ratio_chain
 from .errors import BudgetExceededError, size_str
@@ -36,54 +35,42 @@ DEFAULT_M_CAP = 1 << 20
 @dataclass(frozen=True)
 class TargetSequence:
     """Coefficients a_1, ..., a_q to be approximated (a_0 is implicitly 1
-    and excluded from certification).  values[t-1] holds a_t."""
+    and excluded from certification), each read with ``Fraction``, so 3 or
+    "3/2" will do.  values[t-1] holds a_t.
 
-    q: int
+    The target must satisfy the binomial-ratio chain a_t/C(q,t) <=
+    a_{t+1}/C(q,t+1).  ``b`` holds the chain's increments: b_1 = a_1/C(q,1)
+    and b_t = a_t/C(q,t) - a_{t-1}/C(q,t-1), all non-negative, with
+    a_t = C(q,t) * sum_{s<=t} b_s exactly.
+    """
+
     values: tuple[Fraction, ...]
+    b: tuple[Fraction, ...] = field(init=False)
 
     def __post_init__(self):
-        if self.q < 1:
+        values = tuple(map(Fraction, self.values))
+        object.__setattr__(self, "values", values)
+        if not values:
             raise ValueError("q must be at least 1")
-        if len(self.values) != self.q:
-            raise ValueError(f"expected {self.q} values, got {len(self.values)}")
-        if any(v < 0 for v in self.values):
+        if any(v < 0 for v in values):
             raise ValueError("target coefficients must be non-negative")
+        q = len(values)
+        check = check_ratio_chain(q, lambda t: values[t - 1])
+        if not check.holds:
+            raise ValueError(
+                f"binomial-ratio chain violated at index {check.first_violation}"
+            )
+        ratios = [a / comb(q, t) for t, a in enumerate(values, start=1)]
+        object.__setattr__(self, "b", tuple(
+            hi - lo for lo, hi in zip([Fraction(0)] + ratios, ratios)
+        ))
 
-    @classmethod
-    def of(cls, q: int, values: Iterable) -> "TargetSequence":
-        """Values as anything ``Fraction`` reads, such as 3 or "3/2"."""
-        return cls(q, tuple(Fraction(v) for v in values))
-
-    def a(self, t: int) -> Fraction:
-        if not 1 <= t <= self.q:
-            raise ValueError(f"index {t} out of range 1..{self.q}")
-        return self.values[t - 1]
+    @property
+    def q(self) -> int:
+        return len(self.values)
 
     def to_json(self) -> list[str]:
         return [exact_str(v) for v in self.values]
-
-
-@dataclass(frozen=True)
-class BDecomposition:
-    """The increments b_t of the target's ratio chain: b_1 = a_1/C(q,1)
-    and b_t = a_t/C(q,t) - a_{t-1}/C(q,t-1); all non-negative when the
-    chain holds, and a_t = C(q,t) * sum_{s<=t} b_s exactly."""
-
-    target: TargetSequence
-    b: tuple[Fraction, ...]
-
-
-def b_decomposition(target: TargetSequence) -> BDecomposition:
-    check = check_ratio_chain(target.q, target.a)
-    if not check.holds:
-        raise ValueError(
-            f"binomial-ratio chain violated at index {check.first_violation}"
-        )
-    q = target.q
-    ratios = [target.a(t) / comb(q, t) for t in range(1, q + 1)]
-    b = [ratios[0]]
-    b.extend(ratios[t] - ratios[t - 1] for t in range(1, q))
-    return BDecomposition(target, tuple(b))
 
 
 @dataclass(frozen=True)
@@ -123,6 +110,8 @@ class Plan:
         scaled = [0] * q
         for c in self.components:
             _validate_params(c.k, q, c.m)
+            if c.copies < 1:
+                raise ValueError(f"need copies >= 1, got copies={c.copies}")
             value = c.copies * c.m ** comb(q - 1, c.k)
             for t in range(1, q + 1):
                 scaled[t - 1] += value
@@ -190,11 +179,11 @@ class EpsilonCertificate:
 
 
 def plan_at_m(
-    decomp: BDecomposition, m: int, epsilon: Fraction
+    target: TargetSequence, m: int, epsilon: Fraction
 ) -> EpsilonCertificate:
-    """Build the symbolic plan for the decomposed target at a fixed m and
-    its epsilon certificate, without enforcing that the deviations beat
-    epsilon (build_plan finds the m).
+    """Build the symbolic plan for the target at a fixed m and its epsilon
+    certificate, without enforcing that the deviations beat epsilon
+    (build_plan finds the m).
 
     One component per nonzero b_j: the complement of the (j-1, q, m)
     function graph carries scale_j = m^C(q,j-1), and clearing denominators
@@ -202,10 +191,8 @@ def plan_at_m(
     largest needed exponent) makes every copy count n_j = w_j * m^(E -
     C(q,j-1)) an exact positive integer, with w_j = b_j * L.
     """
-    if m < 1:
-        raise ValueError("m must be positive")
-    q = decomp.target.q
-    selected = [(j, bj) for j, bj in enumerate(decomp.b, start=1) if bj > 0]
+    q = target.q
+    selected = [(j, bj) for j, bj in enumerate(target.b, start=1) if bj > 0]
     if not selected:
         raise ValueError(
             "target sequence is identically zero; no join of well-covered "
@@ -222,11 +209,11 @@ def plan_at_m(
             PlanComponent(j - 1, m, w.numerator * m ** (exponent - comb(q, j - 1)))
         )
     return EpsilonCertificate(
-        Plan(q, tuple(components)), decomp.target, denom_lcm * m**exponent, epsilon
+        Plan(q, tuple(components)), target, denom_lcm * m**exponent, epsilon
     )
 
 
-def _certification_floor(decomp: BDecomposition, eps: Fraction) -> int:
+def _certification_floor(target: TargetSequence, eps: Fraction) -> int:
     """The largest m proven uncertified, or 0 when none is: every m up to
     it leaves a deviation of at least eps.
 
@@ -235,8 +222,8 @@ def _certification_floor(decomp: BDecomposition, eps: Fraction) -> int:
     m <= C(q,t) * b_{t+1} / eps.  An index with b_{t+1} = 0, such as the
     only index at q = 1, proves nothing.
     """
-    q = decomp.target.q
-    return max((comb(q, t) * decomp.b[t] // eps for t in range(1, q)), default=0)
+    q = target.q
+    return max((comb(q, t) * target.b[t] // eps for t in range(1, q)), default=0)
 
 
 def build_plan(
@@ -263,10 +250,9 @@ def build_plan(
     probe when the floor is at least ``m_cap``.
     """
     eps = Fraction(epsilon)
-    if eps <= 0:  # refused before the chain is read
+    if eps <= 0:
         raise ValueError("epsilon must be positive")
-    decomp = b_decomposition(target)
-    floor = _certification_floor(decomp, eps)
+    floor = _certification_floor(target, eps)
     if floor >= m_cap:
         raise BudgetExceededError(
             f"every m <= {floor} leaves a deviation of at least epsilon "
@@ -276,7 +262,7 @@ def build_plan(
 
     def certified(m: int) -> bool:
         nonlocal found
-        certificate = plan_at_m(decomp, m, eps)
+        certificate = plan_at_m(target, m, eps)
         if certificate.certified:
             # the doubling stops at its first certified m, and the
             # bisection only probes below a certified m

@@ -27,7 +27,6 @@ from wellcovered import (
     Graph,
     Polynomial,
     TailPermutation,
-    b_decomposition,
     independence_polynomial,
     is_well_covered,
     plan_at_m,
@@ -83,9 +82,8 @@ def independence_polynomial_bruteforce(g: Graph) -> Polynomial:
 def smallest_certified_m(target, eps, m_cap: int):
     """Smallest m <= m_cap whose plan is certified, scanning every m upward
     from 1; None when there is none."""
-    decomp = b_decomposition(target)
     for m in range(1, m_cap + 1):
-        if plan_at_m(decomp, m, eps).certified:
+        if plan_at_m(target, m, eps).certified:
             return m
     return None
 

@@ -10,9 +10,9 @@ def probes(monkeypatch) -> list:
     probed = []
     real = wellcovered.certificate.plan_at_m
 
-    def spy(decomp, m, eps):
+    def spy(target, m, eps):
         probed.append(m)
-        return real(decomp, m, eps)
+        return real(target, m, eps)
 
     monkeypatch.setattr(wellcovered.certificate, "plan_at_m", spy)
     return probed

@@ -18,7 +18,6 @@ from wellcovered import (
     PlanComponent,
     TailPermutation,
     TargetSequence,
-    b_decomposition,
     binomial_ratio_check,
     build_function_graph,
     build_plan,
@@ -74,7 +73,7 @@ def materialized_graphs():
         report = realize(p)
         assert report.materialized
         out[name] = (report.graph, report.plan, p)
-    forced = plan_at_m(b_decomposition(TargetSequence.of(3, [3, 11, 10])), 3, THIRD).plan
+    forced = plan_at_m(TargetSequence([3, 11, 10]), 3, THIRD).plan
     out["q3-forced-m3"] = (materialize(forced), forced, None)
     return out
 

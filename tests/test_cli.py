@@ -364,17 +364,19 @@ def test_realize_builds_one_plan(capsys, probes):
     assert probes == [58]
 
 
-def test_realize_decomposes_once(capsys, monkeypatch):
-    # build_plan hands its b-decomposition to plan_at_m instead of both
-    # deriving it from the target
+def test_realize_checks_the_chain_once(capsys, monkeypatch):
+    # the target checks its chain when it is built, and nothing after
+    # reads the chain again; every module's binding of the check is spied
     calls = []
-    real = wellcovered.certificate.b_decomposition
+    real = wellcovered.certificate.check_ratio_chain
 
-    def spy(target):
-        calls.append(target.q)
-        return real(target)
+    def spy(q, a):
+        calls.append(q)
+        return real(q, a)
 
-    monkeypatch.setattr(wellcovered.certificate, "b_decomposition", spy)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("wellcovered") and hasattr(module, "check_ratio_chain"):
+            monkeypatch.setattr(module, "check_ratio_chain", spy)
     code, _, _ = run(capsys, "realize", "-q", "3", "--pi", "3,2")
     assert code == 0
     assert calls == [3]
@@ -389,10 +391,10 @@ BROKEN_INVARIANTS = {
         "is not an integer",
     ),
     "target chain": (
-        "import wellcovered.tailorder as t\n"
+        "import wellcovered.certificate as c\n"
         "from wellcovered.enumeration import ChainCheck\n"
-        "t.check_ratio_chain = lambda q, a: ChainCheck(False, 2)\n",
-        "violates the chain at 2",
+        "c.check_ratio_chain = lambda q, a: ChainCheck(False, 2)\n",
+        "chain violated at index 2",
     ),
 }
 

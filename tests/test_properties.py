@@ -28,7 +28,6 @@ from wellcovered import (
     PlanComponent,
     Polynomial,
     TargetSequence,
-    b_decomposition,
     build_function_graph,
     build_plan,
     check_clique_extension,
@@ -176,7 +175,7 @@ def chain_targets(draw) -> TargetSequence:
         st.builds(Fraction, st.integers(1, 40), st.integers(1, 6)),
     )
     b = draw(st.lists(increment, min_size=q, max_size=q).filter(any))
-    return TargetSequence.of(q, [comb(q, t) * sum(b[:t]) for t in range(1, q + 1)])
+    return TargetSequence([comb(q, t) * sum(b[:t]) for t in range(1, q + 1)])
 
 
 # With these ranges about three quarters of the drawn cases certify at
@@ -201,12 +200,11 @@ def test_build_plan_finds_the_smallest_certified_m(target, eps, m_cap):
 @settings(max_examples=100, deadline=None)
 @given(chain_targets(), st.builds(Fraction, st.integers(1, 20), st.integers(1, 4)))
 def test_every_m_up_to_the_floor_is_uncertified(target, eps):
-    decomp = b_decomposition(target)
-    floor = _certification_floor(decomp, eps)
+    floor = _certification_floor(target, eps)
     # a small floor is scanned in full, a large one at a few points
     checked = range(1, floor + 1) if floor <= 100 else (1, 2, floor // 2, floor - 1, floor)
     for m in checked:
-        assert not plan_at_m(decomp, m, eps).certified, m
+        assert not plan_at_m(target, m, eps).certified, m
 
 
 @st.composite
@@ -232,16 +230,25 @@ def test_predicted_counts_are_sums_of_closed_forms(plan):
 @settings(max_examples=100, deadline=None)
 @given(symbolic_plans(), st.integers(1, 10**60), st.data())
 def test_deviations_are_scaled_distances(plan, scale, data):
-    # targets at, near or far from count / scale, on either side
-    offsets = st.builds(Fraction, st.integers(-(10**6), 10**6), st.integers(1, 10**6))
-    values = [
-        data.draw(st.one_of(
+    # targets at, below or above count / scale: a factor in [0, 2] of the
+    # plan's scaled counts, whose ratios never fall, plus the chain of some
+    # non-negative increments, so every draw satisfies the chain
+    q = plan.q
+    factor = data.draw(st.one_of(
+        st.just(Fraction(1)), st.fractions(min_value=0, max_value=2, max_denominator=10**6)
+    ))
+    increments = data.draw(st.lists(
+        st.one_of(
+            st.just(Fraction(0)),
             st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
-            offsets.map(lambda d, c=count: max(Fraction(c, scale) + d, Fraction(0))),
-        ))
-        for count in plan.predicted
-    ]
-    target = TargetSequence.of(plan.q, values)
+        ),
+        min_size=q,
+        max_size=q,
+    ))
+    target = TargetSequence([
+        factor * Fraction(count, scale) + comb(q, t) * sum(increments[:t])
+        for t, count in enumerate(plan.predicted, start=1)
+    ])
     cert = EpsilonCertificate(plan, target, scale, Fraction(1, 3))
     assert cert.deviations == tuple(
         abs(Fraction(count, scale) - a) for count, a in zip(plan.predicted, target.values)
@@ -265,6 +272,17 @@ def test_integer_ratio_chain_matches_fractions(values, as_chain):
     first = next((t for t in range(1, q) if ratios[t - 1] > ratios[t]), None)
     check = check_ratio_chain(q, lambda t: values[t - 1])
     assert (check.holds, check.first_violation) == (first is None, first)
+    # the target refuses exactly what the check refuses, at the same index,
+    # and an accepted target's increments rebuild it
+    try:
+        target = TargetSequence(values)
+    except ValueError as exc:
+        assert str(exc) == f"binomial-ratio chain violated at index {first}"
+    else:
+        assert first is None
+        assert all(
+            comb(q, t) * sum(target.b[:t]) == values[t - 1] for t in range(1, q + 1)
+        )
 
 
 @st.composite

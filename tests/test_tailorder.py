@@ -1,13 +1,13 @@
 from fractions import Fraction
 from itertools import permutations
 from math import comb
+from random import Random
 
 import pytest
 
 from wellcovered import (
     BudgetExceededError,
     EpsilonCertificate,
-    b_decomposition,
     build_plan,
     TailPermutation,
     build_function_graph,
@@ -18,7 +18,6 @@ from wellcovered import (
     target_from_permutation,
 )
 from wellcovered.certificate import _certification_floor
-from wellcovered.enumeration import check_ratio_chain
 from wellcovered.tailorder import TAIL_EPSILON
 
 from bruteforce import verify_on_graph
@@ -84,18 +83,22 @@ def test_target_from_permutation():
 
 def test_generated_targets_satisfy_chain_with_margin():
     # tail ratios shrink by at most 1 + 2/q per step, while consecutive
-    # binomials above q/2 shrink by at least that much; check both exactly
-    for q in range(1, 8):
-        for images in permutations(tail_indices(q)):
-            p = TailPermutation.from_image_list(q, images)
-            tgt = target_from_permutation(p)
-            assert check_ratio_chain(tgt.q, tgt.a).holds
-            bound = 1 + Fraction(2, q)
-            for t in tgt_tail_pairs(q):
-                assert tgt.a(t) <= bound * tgt.a(t + 1)
-                assert bound * comb(q, t + 1) <= comb(q, t)
-        if q >= 6:
-            break  # permutation count grows fast; q <= 6 is plenty
+    # binomials above q/2 shrink by at least that much; check both exactly,
+    # for every permutation with q <= 6 and for the identity, the reversal
+    # and one shuffle with q up to 60 (building a target needs no plan, and
+    # target_from_permutation raises AssertionError on a broken chain)
+    cases = [(q, p) for q in range(1, 7) for p in permutations(tail_indices(q))]
+    for q in range(1, 61):
+        s = list(tail_indices(q))
+        shuffled = s[:]
+        Random(q).shuffle(shuffled)
+        cases += [(q, s), (q, s[::-1]), (q, shuffled)]
+    for q, images in cases:
+        tgt = target_from_permutation(TailPermutation.from_image_list(q, images))
+        bound = 1 + Fraction(2, q)
+        for t in tgt_tail_pairs(q):
+            assert tgt.values[t - 1] <= bound * tgt.values[t]
+            assert bound * comb(q, t + 1) <= comb(q, t)
 
 
 def tgt_tail_pairs(q):
@@ -170,7 +173,7 @@ def test_tail_plans_certify_at_the_first_probe(probes):
         cases += [(q, s), (q, s[::-1]), (q, s[1:] + s[:1])]
     for q, images in cases:
         tgt = target_from_permutation(TailPermutation.from_image_list(q, images))
-        first = _certification_floor(b_decomposition(tgt), TAIL_EPSILON) + 1
+        first = _certification_floor(tgt, TAIL_EPSILON) + 1
         probes.clear()
         plan = build_plan(tgt, TAIL_EPSILON).plan
         assert probes == [first], (q, images)
