@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from numbers import Rational
+from operator import sub
 from typing import Callable, Iterator, NamedTuple, Optional
 
 from .function_graph import _validate_params
-from .graph import Graph, complement
+from .graph import Graph, _bits, complement
 from .polynomial import Polynomial
 
 # -- maximal clique / independent set enumeration ----------------------
@@ -45,18 +46,20 @@ def _components(mask: int, rows) -> list[int]:
     return comps
 
 
-def _bron_kerbosch(rows, p: int) -> Iterator[tuple[int, ...]]:
-    """Pivoting Bron-Kerbosch on an explicit stack; yields the maximal
-    cliques inside the vertex set p as sorted tuples.
+def _bron_kerbosch(
+    rows, p: int, x: int = 0, seed: tuple[int, ...] = ()
+) -> Iterator[tuple[int, ...]]:
+    """Pivoting Bron-Kerbosch on an explicit stack; yields, as sorted
+    tuples, the maximal cliques that contain the clique ``seed`` and lie
+    in seed | p, given that p | x is the common neighbourhood of seed.
 
     Pivot: the vertex of P|X maximizing |P & N(u)|, ties to the lowest
     index; the candidates P - N(pivot) are taken in ascending order.
     This fixes the enumeration order.  Each frame is [P, X, candidates
-    left]; the clique of frame i is ``clique[:i]``.
+    left]; the clique of frame i is ``clique[:len(seed) + i]``.
     """
-    clique: list[int] = []
+    clique = list(seed)
     stack: list[list[int]] = []
-    x = 0
     while True:
         if p:
             pivot = -1
@@ -85,10 +88,86 @@ def _bron_kerbosch(rows, p: int) -> Iterator[tuple[int, ...]]:
         frame[0] = p ^ low
         frame[1] = x | low
         frame[2] = cand ^ low
-        del clique[len(stack) - 1 :]
+        del clique[len(seed) + len(stack) - 1 :]
         clique.append(v)
         p &= rows[v]
         x &= rows[v]
+
+
+def _dense(g: Graph) -> bool:
+    """Whether g has more edges than non-edges."""
+    return 4 * g.edge_count() > g.n * (g.n - 1)
+
+
+def _walk_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Every maximal clique exactly once, as sorted tuples, in an order
+    that nothing promises: for counts and verdicts, not for witnesses.
+
+    Each clique is reached along its ascending order.  A node is a clique
+    R, its common neighbourhood C and its forward candidates P, the
+    vertices of C after R's last (Chiba and Nishizeki's forward
+    neighbourhoods).  A child R + v with empty C is maximal; one with
+    empty P is not, nor is any clique below it.  No clique below a child
+    is maximal either when a vertex of its C - P is adjacent to all of
+    its P.  A child whose first vertex of P is adjacent to more than half
+    of the rest has its P counted exactly: a clique P gives the one
+    maximal clique R | P, and a P with more edges than non-edges goes to
+    :func:`_bron_kerbosch` seeded with (R, P, C - P).  Every other child
+    is pushed.  Frames are pushed one level at a time, so the stack holds
+    at most one per clique vertex.  The walk suits a sparse graph; its
+    callers list a :func:`_dense` one with :func:`maximal_cliques`.
+    """
+    rows = g.rows
+    if not g.n:
+        yield ()
+        return
+    full = (1 << g.n) - 1
+    stack = [[(), full, full]]
+    while stack:
+        frame = stack[-1]
+        r, c, p = frame
+        if not p:
+            stack.pop()
+            continue
+        low = p & -p
+        p ^= low
+        frame[2] = p
+        v = low.bit_length() - 1
+        row = rows[v]
+        child_c = c & row
+        if not child_c:
+            yield (*r, v)
+            continue
+        child_p = p & row
+        if not child_p:
+            continue
+        # the vertices of C - P adjacent to all of P: any one extends
+        # every clique below the child
+        back = child_c ^ child_p
+        scan = child_p
+        while scan and back:
+            low = scan & -scan
+            scan ^= low
+            back &= rows[low.bit_length() - 1]
+        if back:
+            continue
+        r = (*r, v)
+        size = child_p.bit_count()
+        first = (child_p & -child_p).bit_length() - 1
+        if 2 * (rows[first] & child_p).bit_count() > size - 1:
+            degree_sum = 0
+            scan = child_p
+            while scan:
+                low = scan & -scan
+                scan ^= low
+                degree_sum += (rows[low.bit_length() - 1] & child_p).bit_count()
+            if degree_sum == size * (size - 1):
+                yield (*r, *_bits(child_p))
+                continue
+            if 2 * degree_sum > size * (size - 1):
+                yield from _bron_kerbosch(rows, child_p, child_c ^ child_p, r)
+                continue
+        stack.append([r, child_c, child_p])
 
 
 def maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
@@ -123,10 +202,11 @@ def cliques_of_size(g: Graph, j: int) -> Iterator[tuple[int, ...]]:
 
 # Masks one independence_polynomial call memoizes.  The q = 2
 # certificates and the function-grid complements, in built or random
-# vertex order, need at most 2857; relabelled complements of (2,4,6),
-# (3,5,3) and (4,6,2), with at most 864 vertices, reach the cap.  Past the
-# cap a node is solved without being stored, so an input whose search
-# does not finish takes time but not ever more memory.
+# vertex order, need at most 2424; relabelled complements of (2,4,6),
+# (3,5,3) and (4,6,2), with at most 864 vertices, would need 20,748 to
+# 29,089 and reach the cap.  Past the cap a node is solved without being
+# stored, so an input whose search does not finish takes time but not
+# ever more memory.
 _MEMO_ENTRIES = 1 << 14
 
 
@@ -165,17 +245,7 @@ def _solve(mask: int, rows, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]
                 pivot = u
             rest ^= low
         if 2 * degree_sum > size * (size - 1):
-            # more edges than non-edges: expand on the first vertex
-            acc = [1, 0]
-            rest = mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                for t, c in enumerate(_solve(rest & ~rows[low.bit_length() - 1], rows, memo)):
-                    if t + 1 < len(acc):
-                        acc[t + 1] += c
-                    else:
-                        acc.append(c)
+            out = _walk_dense(mask, rows, memo)
         else:
             acc = list(_solve(mask & ~(1 << pivot), rows, memo))
             with_pivot = _solve(mask & ~(rows[pivot] | (1 << pivot)), rows, memo)
@@ -183,10 +253,84 @@ def _solve(mask: int, rows, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]
                 acc.extend([0] * (len(with_pivot) + 1 - len(acc)))
             for t, c in enumerate(with_pivot):
                 acc[t + 1] += c
-        out = tuple(acc)
+            out = tuple(acc)
     if len(memo) < _MEMO_ENTRIES:
         memo[mask] = out
     return out
+
+
+def _walk_dense(mask: int, rows, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """Coefficients of a connected node with more edges than non-edges,
+    by the first-vertex expansion walked on an explicit stack.
+
+    A frame is a node T at depth d, the number of vertices chosen above
+    it; it adds ``x^d * I(T)``.  One pass over T lists its terms
+    ``later(v) - N(v)`` and sums their sizes, which counts the non-edges
+    of T; it stops once T has too many to be dense.  T is expanded in place only while it is dense by the rule of
+    :func:`_solve` (four times the non-edges below |T|(|T|-1)) and
+    connected; a dense T with fewer than |T|-1 non-edges is connected.
+    Every other T goes to :func:`_solve`, and a memoized one is read from
+    the memo.  Terms of at most two vertices are counted inline.  Below an
+    expanded T the stack keeps a copy of ``acc[d:]``; once the walk under
+    T is done, the difference is I(T), memoized like a solved node, so a
+    term that recurs, as in function-graph complements in their built
+    vertex order, is walked once.
+    """
+    acc = [0] * (mask.bit_count() + 1)
+    stack = [(mask, 0)]  # the root, at depth 0, is known to be connected
+    snapshots = []  # acc[d:] below each marker (t, ~d) on the stack
+    while stack:
+        t, d = stack.pop()
+        if d < 0:  # the walk below t is done: what it added is x^~d * I(t)
+            before = snapshots.pop()
+            d = ~d
+            out = list(map(sub, acc[d : d + len(before)], before))
+            while not out[-1]:
+                out.pop()
+            if len(memo) < _MEMO_ENTRIES:
+                memo[t] = tuple(out)
+            continue
+        out = memo.get(t)
+        if out is None:
+            size = t.bit_count()
+            limit = size * (size - 1)
+            terms = []
+            non_edges = 0
+            rest = t
+            while rest and 4 * non_edges < limit:
+                low = rest & -rest
+                rest ^= low
+                term = rest & ~rows[low.bit_length() - 1]
+                terms.append(term)
+                non_edges += term.bit_count()
+            if 4 * non_edges < limit and (
+                not d or non_edges < size - 1 or len(_components(t, rows)) == 1
+            ):
+                if d and len(memo) < _MEMO_ENTRIES:
+                    stack.append((t, ~d))
+                    snapshots.append(acc[d : d + size + 1])
+                acc[d] += 1
+                d += 1
+                for term in reversed(terms):  # popped in ascending order
+                    upper = term & (term - 1)  # the term without its first vertex
+                    if upper & (upper - 1):
+                        stack.append((term, d))
+                    elif not upper:  # no vertex or one
+                        acc[d] += 1
+                        if term:
+                            acc[d + 1] += 1
+                    else:  # two vertices
+                        acc[d] += 1
+                        acc[d + 1] += 2
+                        if not rows[upper.bit_length() - 1] & term:
+                            acc[d + 2] += 1
+                continue
+            out = _solve(t, rows, memo)
+        for i, c in enumerate(out, d):
+            acc[i] += c
+    while not acc[-1]:
+        acc.pop()
+    return tuple(acc)
 
 
 def independence_polynomial(g: Graph) -> Polynomial:
@@ -200,18 +344,26 @@ def independence_polynomial(g: Graph) -> Polynomial:
       ``I(G) = 1 + x * sum_v I(G[later(v) - N(v)])``, v ascending, where
       later(v) are the vertices after v.  Each term is a small
       non-neighbourhood; on a join it lies inside the part of v, so joins
-      split without being searched for;
+      split without being searched for.  The expansion is walked on an
+      explicit stack (:func:`_walk_dense`): a term that is dense and
+      connected in turn is expanded in place, and only the others go
+      through these rules again.  The terms of a dense node are the
+      cliques of its complement, so on the complement of a sparse graph
+      the walk lists that graph's cliques along their forward
+      neighbourhoods;
     - sparse (no more edges than non-edges): ``I(G) = I(G - v) +
       x * I(G - N[v])`` on the maximum-degree pivot v, ties to the lowest
       index.
 
     A dict local to the call memoizes the coefficients of up to
-    ``_MEMO_ENTRIES`` vertex masks, so each is solved once per call.
+    ``_MEMO_ENTRIES`` vertex masks, solved or walked, so each is found
+    once per call.
 
     Slower: dense joins of sparse parts, each part being solved once per
-    non-neighbourhood instead of once.  A join of two G(n, p) takes 0.28 s
-    (n = 50, p = 0.15), 1.5 s (60, 0.08) and 12.5 s (80, 0.05), against
-    0.21, 0.60 and 6.0 s with a search for joins (Python 3.11, one core).
+    non-neighbourhood instead of once.  A join of two G(n, p) takes 0.26 s
+    (n = 50, p = 0.15), 1.2 s (60, 0.08) and 7.4 s (80, 0.05), against
+    0.13, 0.27 and 2.0 s for its two parts alone (Python 3.11, best of 5
+    on a shared two-core host).
     """
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(limit, 3 * g.n + 200))
@@ -238,9 +390,24 @@ class WellCoveredReport(NamedTuple):
 
 
 def is_well_covered(g: Graph) -> WellCoveredReport:
+    """Whether every maximal independent set of g has the same size.
+
+    The verdict and ``alpha`` do not depend on an enumeration order: the
+    maximal cliques of the complement are walked until one of a second
+    size appears.  Only then does the witness pair follow the order of
+    :func:`maximal_independent_sets`: its first smallest and its first
+    largest set.  A complement with more edges than non-edges is listed
+    in that order at once, which suits it better than the walk.
+    """
+    h = complement(g)
+    if not _dense(h):
+        walk = _walk_maximal_cliques(h)
+        size = len(next(walk))
+        if all(len(s) == size for s in walk):
+            return WellCoveredReport(True, size, None)
     smallest: Optional[tuple[int, ...]] = None
     largest: Optional[tuple[int, ...]] = None
-    for s in maximal_independent_sets(g):
+    for s in maximal_cliques(h):
         if smallest is None or len(s) < len(smallest):
             smallest = s
         if largest is None or len(s) > len(largest):
@@ -297,9 +464,14 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
     outside C, so condition 2 checks the common neighbourhood of each
     (k+1)-subset of each maximal clique.  The number of maximal cliques
     containing a k-clique is the number of times it occurs as a k-subset
-    of one, so condition 3 counts those subsets.  Condition 1 reports the
-    first wrong-sized maximal clique in enumeration order; conditions 2
-    and 3 report the lexicographically smallest offending clique.
+    of one, so condition 3 counts those subsets.  Conditions 2 and 3
+    report the lexicographically smallest offending clique, which no
+    enumeration order changes, so the maximal cliques come from the
+    order-free walk of :func:`_walk_maximal_cliques` (a graph with more
+    edges than non-edges from :func:`maximal_cliques`).  Condition 1
+    reports the first wrong-sized maximal clique in enumeration order:
+    only when the walk meets one does :func:`maximal_cliques` run, up to
+    that clique.
 
     The maximal cliques are read in one pass and none is kept: each
     clique's k-subsets go straight into the count.
@@ -310,10 +482,11 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
 
     def k_subsets() -> Iterator[tuple[int, ...]]:
         # conditions 1 and 2 on each maximal clique, then its k-subsets
-        wrong_size = witness = None
-        for cl in maximal_cliques(g):
-            if wrong_size is None and len(cl) != q:
-                wrong_size = cl
+        wrong_size = False
+        witness = None
+        for cl in maximal_cliques(g) if _dense(g) else _walk_maximal_cliques(g):
+            if len(cl) != q:
+                wrong_size = True
             outside = -1
             for v in cl:
                 outside ^= 1 << v
@@ -331,8 +504,8 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
             # at m = 1 condition 3 holds: every clique lies in a maximal one
             if m > 1:
                 yield from combinations(cl, k)
-        if wrong_size is not None:
-            violations.append((1, wrong_size))
+        if wrong_size:
+            violations.append((1, next(cl for cl in maximal_cliques(g) if len(cl) != q)))
         if witness is not None:
             violations.append((2, witness))
 

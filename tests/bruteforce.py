@@ -31,7 +31,7 @@ from wellcovered import (
     is_well_covered,
     plan_at_m,
 )
-from wellcovered.enumeration import CliqueExtensionReport
+from wellcovered.enumeration import CliqueExtensionReport, WellCoveredReport
 
 
 def random_graph(rng: Random, n: int, p: float = 0.5) -> Graph:
@@ -239,6 +239,23 @@ def maximal_cliques_in_order(g: Graph) -> list:
         for cl in _bron_kerbosch_recursive(local_rows, [], (1 << len(verts)) - 1, 0):
             out.append(tuple(sorted(verts[i] for i in cl)))
     return out
+
+
+def well_covered_report(g: Graph) -> WellCoveredReport:
+    """Well-coveredness from the sizes of every maximal independent set,
+    found by subset filtering.  A witness pair is the first smallest and
+    the first largest set in the library's order: the maximal cliques of
+    the complement, listed by the order reference."""
+    sizes = {len(s) for s in maximal_independent_sets(g)}
+    if len(sizes) == 1:
+        return WellCoveredReport(True, sizes.pop(), None)
+    co = Graph.from_edges(
+        g.n, [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
+    )
+    ordered = maximal_cliques_in_order(co)
+    smallest = next(s for s in ordered if len(s) == min(sizes))
+    largest = next(s for s in ordered if len(s) == max(sizes))
+    return WellCoveredReport(False, max(sizes), (smallest, largest))
 
 
 def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionReport:

@@ -101,6 +101,35 @@ def test_independence_polynomial_builds_no_complement(monkeypatch):
     assert independence_polynomial(sparse_join) == expected
 
 
+def test_dense_join_of_sparse_parts_adds():
+    # I(A v B) = I(A) + I(B) - 1.  The join is dense, but its terms, the
+    # non-neighbourhoods inside one part, are sparse and go to the sparse
+    # rule; expanding them in place as dense nodes made this test about five
+    # times slower
+    rng = Random(60)
+    a, b = (bruteforce.random_graph(rng, 60, 0.08) for _ in range(2))
+    pa, pb = independence_polynomial(a), independence_polynomial(b)
+    expected = [pa.coefficient(t) + pb.coefficient(t) for t in range(max(len(pa), len(pb)))]
+    expected[0] -= 1
+    assert independence_polynomial(join([a, b])) == Polynomial(expected)
+
+
+def test_hub_over_clique_and_sparse_part():
+    # K_1 v (K_100 u E_40) and K_1 v (K_100 u M_20), M_20 a perfect matching
+    # on 40 vertices: I = x + (1 + 100x)(1 + x)^40 and x + (1 + 100x)(1 + 2x)^20.
+    # Every vertex of K_100 has the same sparse part as its term
+    clique = [(u, v) for u in range(100) for v in range(u + 1, 100)]
+    matching = [(100 + 2 * i, 101 + 2 * i) for i in range(20)]
+    for sparse_edges, sparse_part in (
+        ([], Polynomial([comb(40, t) for t in range(41)])),
+        (matching, Polynomial([comb(20, t) * 2**t for t in range(21)])),
+    ):
+        g = join([complete(1), Graph.from_edges(140, clique + sparse_edges)])
+        coeffs = list(Polynomial([1, 100]) * sparse_part)
+        coeffs[1] += 1
+        assert independence_polynomial(g) == Polynomial(coeffs)
+
+
 def test_polynomial_of_long_path():
     # i_k(P_n) = C(n + 1 - k, k); the recursion runs about n/2 component
     # levels deep, past Python 3.12's C recursion limit if a level went

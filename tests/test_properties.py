@@ -9,8 +9,11 @@ it, predicted counts and deviations of large symbolic plans against the
 closed form and Fraction arithmetic, the integer ratio-chain check against
 Fraction comparison, materialized plans of mixed k and m against their
 predicted counts, and the enumeration order and clique extension
-witnesses against the recursive references on random graphs.  Relabelling
-a graph changes none of the answers read off it."""
+witnesses against the recursive references on random graphs.  The
+order-free maximal clique walk, well-coveredness and the clique extension
+check are also compared with their references on joins and disjoint
+unions of two random graphs.  Relabelling a graph changes none of the
+answers read off it."""
 
 from fractions import Fraction
 from math import comb
@@ -43,6 +46,7 @@ from wellcovered import (
     to_graph6,
     vertex_count,
 )
+from wellcovered import enumeration
 from wellcovered.certificate import _certification_floor
 from wellcovered.enumeration import check_ratio_chain
 
@@ -119,6 +123,39 @@ def test_graph6_roundtrip(g):
 @given(random_graphs(14))
 def test_maximal_cliques_in_reference_order(g):
     assert list(maximal_cliques(g)) == bruteforce.maximal_cliques_in_order(g)
+
+
+@st.composite
+def walk_graphs(draw) -> Graph:
+    """A random graph on at most 14 vertices, or a join or disjoint union of
+    two on at most 7 each.  Unions of dense parts reach the clique emit and
+    the Bron-Kerbosch hand-off of the maximal clique walk below a sparse
+    root; joins and dense draws reach the dense root."""
+    if draw(st.booleans()):
+        return draw(random_graphs(14))
+    g, h = draw(random_graphs(7)), draw(random_graphs(7))
+    return join([g, h]) if draw(st.booleans()) else disjoint_union(g, h)
+
+
+@settings(max_examples=200, deadline=None)
+@given(walk_graphs())
+def test_walk_yields_each_maximal_clique_once(g):
+    walked = list(enumeration._walk_maximal_cliques(g))
+    assert len(walked) == len(set(walked))
+    assert set(walked) == set(maximal_cliques(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_graphs())
+def test_is_well_covered_matches_subset_reference(g):
+    assert is_well_covered(g) == bruteforce.well_covered_report(g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(walk_graphs(), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3))
+def test_clique_extension_on_walk_graphs_matches_reference(g, k, dq, m):
+    expected = bruteforce.check_clique_extension(g, k, k + dq, m)
+    assert check_clique_extension(g, k, k + dq, m) == expected
 
 
 # Most random graphs fail some condition, so the witnesses get compared.
