@@ -60,10 +60,15 @@ class TargetSequence:
             raise ValueError(
                 f"binomial-ratio chain violated at index {check.first_violation}"
             )
-        ratios = [a / comb(q, t) for t, a in enumerate(values, start=1)]
-        object.__setattr__(self, "b", tuple(
-            hi - lo for lo, hi in zip([Fraction(0)] + ratios, ratios)
-        ))
+        # b_t = n/d - pn/pd with n/d = a_t/C(q,t) and pn/pd the ratio at
+        # t-1, both unreduced, so each b_t is reduced once
+        b = []
+        pn, pd = 0, 1
+        for t, a in enumerate(values, start=1):
+            n, d = a.numerator, a.denominator * comb(q, t)
+            b.append(Fraction(n * pd - pn * d, d * pd))
+            pn, pd = n, d
+        object.__setattr__(self, "b", tuple(b))
 
     @property
     def q(self) -> int:
@@ -134,14 +139,15 @@ class EpsilonCertificate:
 
     Low-order predicted counts (t <= k within a component) never exceed
     the m-fold coverage bound scale_j * C(q,t) / m, so the check errs on
-    neither side.
+    neither side.  ``certified`` compares each deviation with epsilon by
+    cross-multiplying its unreduced numerator and denominator; only
+    ``deviations``, which are printed, pay for reducing them.
     """
 
     plan: Plan
     target: TargetSequence
     scale: int
     epsilon: Fraction
-    deviations: tuple[Fraction, ...] = field(init=False)
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -152,16 +158,23 @@ class EpsilonCertificate:
             raise ValueError(
                 f"plan has q = {self.plan.q}, target has q = {self.target.q}"
             )
+
+    def _unreduced_deviations(self):
+        """Each |count / T - a| as a numerator and denominator pair."""
         scale = self.scale
-        # |count / T - a| as one fraction, reduced once
-        object.__setattr__(self, "deviations", tuple(
-            Fraction(abs(count * a.denominator - a.numerator * scale), scale * a.denominator)
-            for count, a in zip(self.plan.predicted, self.target.values)
-        ))
+        for count, a in zip(self.plan.predicted, self.target.values):
+            yield abs(count * a.denominator - a.numerator * scale), scale * a.denominator
+
+    @property
+    def deviations(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, d) for n, d in self._unreduced_deviations())
 
     @property
     def certified(self) -> bool:
-        return all(d < self.epsilon for d in self.deviations)
+        eps = self.epsilon
+        return all(
+            n * eps.denominator < eps.numerator * d for n, d in self._unreduced_deviations()
+        )
 
     def to_json(self) -> dict:
         return {
@@ -192,7 +205,7 @@ def plan_at_m(
     C(q,j-1)) an exact positive integer, with w_j = b_j * L.
     """
     q = target.q
-    selected = [(j, bj) for j, bj in enumerate(target.b, start=1) if bj > 0]
+    selected = [(j, bj) for j, bj in enumerate(target.b, start=1) if bj]
     if not selected:
         raise ValueError(
             "target sequence is identically zero; no join of well-covered "
@@ -202,11 +215,11 @@ def plan_at_m(
     exponent = max(comb(q, j - 1) for j, _ in selected)
     components = []
     for j, bj in selected:
-        w = bj * denom_lcm
-        if w.denominator != 1:
-            raise AssertionError(f"weight {w} for j={j} is not an integer")
+        share, rest = divmod(denom_lcm, bj.denominator)
+        if rest:
+            raise AssertionError(f"weight {bj * denom_lcm} for j={j} is not an integer")
         components.append(
-            PlanComponent(j - 1, m, w.numerator * m ** (exponent - comb(q, j - 1)))
+            PlanComponent(j - 1, m, bj.numerator * share * m ** (exponent - comb(q, j - 1)))
         )
     return EpsilonCertificate(
         Plan(q, tuple(components)), target, denom_lcm * m**exponent, epsilon
@@ -222,8 +235,11 @@ def _certification_floor(target: TargetSequence, eps: Fraction) -> int:
     m <= C(q,t) * b_{t+1} / eps.  An index with b_{t+1} = 0, such as the
     only index at q = 1, proves nothing.
     """
-    q = target.q
-    return max((comb(q, t) * target.b[t] // eps for t in range(1, q)), default=0)
+    q, b = target.q, target.b
+    return max((
+        comb(q, t) * b[t].numerator * eps.denominator // (b[t].denominator * eps.numerator)
+        for t in range(1, q)
+    ), default=0)
 
 
 def build_plan(
@@ -263,11 +279,12 @@ def build_plan(
     def certified(m: int) -> bool:
         nonlocal found
         certificate = plan_at_m(target, m, eps)
-        if certificate.certified:
+        verdict = certificate.certified
+        if verdict:
             # the doubling stops at its first certified m, and the
             # bisection only probes below a certified m
             found = certificate
-        return certificate.certified
+        return verdict
 
     low, high = floor, floor + 1  # low: the largest m known to fail
     while not certified(high):

@@ -13,7 +13,8 @@ for s, t in S.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+import reprlib
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Optional
@@ -33,9 +34,10 @@ from .polynomial import exact_str
 
 
 def _as_int(value) -> int:
-    # int() alone would truncate 1.5 and take true as 1
+    # int() alone would truncate 1.5 and take true as 1; reprlib shortens
+    # a deeply nested list, whose full repr would recurse once per level
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"not an integer: {value!r}")
+        raise ValueError(f"not an integer: {reprlib.repr(value)}")
     return int(value)
 
 
@@ -50,10 +52,12 @@ def tail_indices(q: int) -> range:
 @dataclass(frozen=True)
 class TailPermutation:
     """A bijection pi of the tail index set S onto itself, stored as its
-    images pi(t) for t in S ascending."""
+    images pi(t) for t in S ascending, together with its inverse: S in
+    prescribed rank order."""
 
     q: int
     images: tuple[int, ...]
+    _ranked: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         s = tail_indices(self.q)
@@ -66,6 +70,10 @@ class TailPermutation:
             raise ValueError(
                 f"not a bijection of the tail set {list(s)}: {dict(zip(s, self.images))}"
             )
+        ranked = [0] * len(s)
+        for t, image in zip(s, self.images):
+            ranked[image - s.start] = t
+        object.__setattr__(self, "_ranked", tuple(ranked))
 
     @classmethod
     def from_image_list(cls, q: int, images: Iterable[int]) -> "TailPermutation":
@@ -81,7 +89,10 @@ class TailPermutation:
         if not text.startswith(("{", "[")):
             return cls.from_image_list(q, text.split(","))
         # a map arrives as its (key, value) pairs, so a repeated key shows
-        data = json.loads(text, object_pairs_hook=tuple)
+        try:
+            data = json.loads(text, object_pairs_hook=tuple)
+        except RecursionError:  # the decoder recurses once per level of nesting
+            raise ValueError("JSON nested too deeply") from None
         if isinstance(data, tuple):
             pairs = sorted(((_as_int(t), v) for t, v in data), key=lambda pair: pair[0])
             keys = [t for t, _ in pairs]
@@ -100,7 +111,7 @@ class TailPermutation:
 
     def by_rank(self) -> tuple[int, ...]:
         """S in prescribed rank order, lowest rank first."""
-        return tuple(sorted(tail_indices(self.q), key=self.pi))
+        return self._ranked
 
     def misordered(self, count: Callable[[int], int]) -> Optional[tuple[int, int]]:
         """The first rank-adjacent pair (s, t) with count(s) >= count(t), or None."""
@@ -159,6 +170,8 @@ class RealizationReport:
         return self.permutation.misordered(lambda t: predicted[t - 1]) is None
 
     def to_json(self) -> dict:
+        """The report as JSON; the CLI takes its exit code from
+        ``ordering_verified`` here, so the order is checked once."""
         plan = self.certificate.to_json()
         ranked = self.permutation.by_rank()
         out = {

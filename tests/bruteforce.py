@@ -14,10 +14,13 @@ with membership bitmasks.  The library routines must match them exactly,
 witnesses included.  Two more are written out from their statements: the
 clique-count closed form of a function graph, with the reason it holds, and
 ``verify_on_graph``, the whole tail-order promise checked on a real graph
-with the library's enumerators.
+with the library's enumerators.  ``exact_str_by_decimal`` prints through
+Decimal(int), which is quadratic at every size but has no digit limit.
 """
 
 from dataclasses import dataclass
+from decimal import Decimal
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 from random import Random
@@ -32,6 +35,14 @@ from wellcovered import (
     plan_at_m,
 )
 from wellcovered.enumeration import CliqueExtensionReport, WellCoveredReport
+
+
+def exact_str_by_decimal(x) -> str:
+    """An int as decimal digits, a Fraction as "p/q", through Decimal(int),
+    which has no int-to-str digit limit."""
+    if isinstance(x, Fraction):
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
+    return str(Decimal(x))
 
 
 def random_graph(rng: Random, n: int, p: float = 0.5) -> Graph:

@@ -597,6 +597,17 @@ def test_realize_invalid_pi(capsys):
     assert "map keys [2, 2, 3] are not the tail set [2, 3]" in err  # the repeat shows
 
 
+def test_realize_deeply_nested_pi(capsys):
+    # the JSON decoder recurses once per level of nesting, so 5,000 levels
+    # can pass the recursion limit; deep or not, the error stays short
+    deep = "[" * 5000 + "]" * 5000
+    for pi in (deep, '{"1": ' + deep + "}", "[" * 500 + "]" * 500):
+        code, err = run_usage_error(capsys, "realize", "-q", "1", "--pi", pi)
+        assert code == 4, pi[:10]
+        assert "wellcovered realize: error: invalid --pi: " in err
+        assert len(err.encode()) < 1000
+
+
 def test_realize_wrong_image_count_at_huge_q(capsys):
     # the count is checked before the tail set is built or printed
     q = 10**14

@@ -1,6 +1,16 @@
+import decimal
+import sys
+from fractions import Fraction
+from math import ceil, log10
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wellcovered import Polynomial
+from wellcovered.polynomial import _STR_MAX_BITS, exact_str
+
+from bruteforce import exact_str_by_decimal
 
 
 def test_normalization_and_degree():
@@ -53,3 +63,67 @@ def test_mul_pow():
 def test_json_decimal_strings():
     big = 10**30
     assert Polynomial([1, big]).to_json() == ["1", str(big)]
+
+
+def near(bits: int) -> set:
+    """2^k - 1, 2^k and 2^k + 1 for k within one of ``bits``, and the same
+    around the powers of ten of about that many bits."""
+    digits = round(bits * log10(2))
+    return {
+        base**k + d
+        for base, e in ((2, bits), (10, digits))
+        for k in (e - 1, e, e + 1)
+        for d in (-1, 0, 1)
+    }
+
+
+DEFAULT_LIMIT = sys.int_info.default_max_str_digits
+# the size limit of str(), and the smallest and the default int-to-str digit
+# limits, each as a size in bits
+EDGES = sorted(
+    near(_STR_MAX_BITS) | near(ceil(640 / log10(2))) | near(ceil(DEFAULT_LIMIT / log10(2)))
+)
+
+
+def edge(i: int) -> int:
+    return EDGES[i]
+
+
+def random_int(bits: int, rng) -> int:
+    """An integer of exactly ``bits`` bits."""
+    return rng.getrandbits(bits) | 1 << (bits - 1)
+
+
+# hypothesis may describe a strategy with repr(), which refuses an int past
+# the digit limit, so the large values are built from small draws; sizes
+# are drawn evenly, so the larger ones are not rare
+ints = st.builds(
+    lambda sign, n: sign * n,
+    st.sampled_from((1, -1)),
+    st.one_of(
+        st.integers(0, 2**64),
+        st.builds(edge, st.integers(0, len(EDGES) - 1)),
+        st.builds(random_int, st.integers(1, 66439), st.randoms(use_true_random=False)),
+    ),
+)
+rationals = st.builds(Fraction, ints, ints.filter(bool))
+
+
+@pytest.mark.parametrize("limit", [0, 640, DEFAULT_LIMIT])
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(ints, rationals))
+def test_exact_str_matches_the_decimal_route(limit, x):
+    # the output is the same under any int-to-str digit limit, and neither
+    # that limit nor the thread's decimal context is changed by the call
+    expected = exact_str_by_decimal(x)
+    context = decimal.getcontext()
+    state = repr(context)
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        got = exact_str(x)
+        assert sys.get_int_max_str_digits() == limit
+    finally:
+        sys.set_int_max_str_digits(before)
+    assert got == expected
+    assert decimal.getcontext() is context and repr(context) == state

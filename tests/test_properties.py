@@ -6,17 +6,18 @@ one part; the references are the subset-enumeration oracles.  Also
 the graph6 round trip against the bit-at-a-time codec, the plan search
 against a scan of every m and its proven floor against the plans below
 it, predicted counts and deviations of large symbolic plans against the
-closed form and Fraction arithmetic, the integer ratio-chain check against
-Fraction comparison, materialized plans of mixed k and m against their
-predicted counts, and the enumeration order and clique extension
-witnesses against the recursive references on random graphs.  The
+closed form and Fraction arithmetic, the integer ratio-chain check, the
+chain's increments, the certification floor and the certificate's verdict
+against their Fraction definitions, materialized plans of mixed k and m
+against their predicted counts, and the enumeration order and clique
+extension witnesses against the recursive references on random graphs.  The
 order-free maximal clique walk, well-coveredness and the clique extension
 check are also compared with their references on joins and disjoint
 unions of two random graphs.  Relabelling a graph changes none of the
 answers read off it."""
 
 from fractions import Fraction
-from math import comb
+from math import comb, floor
 from random import Random
 
 import pytest
@@ -242,6 +243,27 @@ def test_every_m_up_to_the_floor_is_uncertified(target, eps):
     checked = range(1, floor + 1) if floor <= 100 else (1, 2, floor // 2, floor - 1, floor)
     for m in checked:
         assert not plan_at_m(target, m, eps).certified, m
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    chain_targets(),
+    st.sampled_from((Fraction(1, 3), Fraction(1, 1000), Fraction(7, 2))),
+    st.integers(-3, 40),
+)
+def test_integer_forms_match_their_fraction_definitions(target, eps, offset):
+    # the increments, the floor and the verdict are integer expressions in
+    # the library; here each is its Fraction definition, at m from just
+    # below the floor (never certified) to past it
+    q = target.q
+    ratios = [a / comb(q, t) for t, a in enumerate(target.values, start=1)]
+    assert target.b == tuple(hi - lo for lo, hi in zip([Fraction(0)] + ratios, ratios))
+    floor_m = _certification_floor(target, eps)
+    assert floor_m == max(
+        (floor(comb(q, t) * target.b[t] / eps) for t in range(1, q)), default=0
+    )
+    cert = plan_at_m(target, max(1, floor_m + offset), eps)
+    assert cert.certified == all(d < eps for d in cert.deviations)
 
 
 @st.composite
