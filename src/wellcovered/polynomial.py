@@ -64,22 +64,23 @@ def _decimal_digits(n: int) -> str:
 def exact_str(x: Union[int, Fraction]) -> str:
     """An int as a decimal string, a Fraction as "p/q".
 
-    Small ints go through str(); past ``_STR_MAX_BITS`` bits, or past the
-    interpreter's int-to-str digit limit (4300 digits by default), the
-    digits come from ``_decimal_digits``, which is subquadratic and has no
-    digit limit.  Either way the text is what str() gives without a limit,
-    and no interpreter-wide state changes.
+    Small ints go through the built-in "%d" formatting; past
+    ``_STR_MAX_BITS`` bits, or past the interpreter's int-to-str digit
+    limit (4300 digits by default), the digits come from
+    ``_decimal_digits``, which is subquadratic and has no digit limit.
+    Either way the text is what "%d" gives without a limit, and no
+    interpreter-wide state changes.
     """
     if not isinstance(x, int):  # a Fraction; int is the cheaper test
         return f"{exact_str(x.numerator)}/{exact_str(x.denominator)}"
     bits = x.bit_length()
     if bits <= _STR_MAX_BITS:
         # x has at most floor(bits * log10(2)) + 1 digits, and 0.30103
-        # exceeds log10(2), so this never passes str() too many digits for
-        # the interpreter's limit (0 means none)
+        # exceeds log10(2), so this never formats too many digits for the
+        # interpreter's limit (0 means none)
         limit = sys.get_int_max_str_digits()
         if limit == 0 or bits * 30103 // 100000 < limit:
-            return str(x)
+            return "%d" % x  # not str(x), which spells a bool "True"
     digits = _decimal_digits(abs(x))
     return "-" + digits if x < 0 else digits
 

@@ -111,7 +111,7 @@ rationals = st.builds(Fraction, ints, ints.filter(bool))
 
 @pytest.mark.parametrize("limit", [0, 640, DEFAULT_LIMIT])
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(ints, rationals))
+@given(st.one_of(ints, rationals, st.booleans()))
 def test_exact_str_matches_the_decimal_route(limit, x):
     # the output is the same under any int-to-str digit limit, and neither
     # that limit nor the thread's decimal context is changed by the call
