@@ -9,14 +9,12 @@ big integers instead of going through floats.
 
 from __future__ import annotations
 
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 from numbers import Rational
-from operator import sub
-from typing import Callable, Iterator, NamedTuple, Optional
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .function_graph import _validate_params
 from .graph import Graph, _bits, complement
@@ -94,11 +92,6 @@ def _bron_kerbosch(
         x &= rows[v]
 
 
-def _dense(g: Graph) -> bool:
-    """Whether g has more edges than non-edges."""
-    return 4 * g.edge_count() > g.n * (g.n - 1)
-
-
 def _walk_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
     """Every maximal clique exactly once, as sorted tuples, in an order
     that nothing promises: for counts and verdicts, not for witnesses.
@@ -114,14 +107,15 @@ def _walk_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
     maximal clique R | P, and a P with more edges than non-edges goes to
     :func:`_bron_kerbosch` seeded with (R, P, C - P).  Every other child
     is pushed.  Frames are pushed one level at a time, so the stack holds
-    at most one per clique vertex.  The walk suits a sparse graph; its
-    callers list a :func:`_dense` one with :func:`maximal_cliques`.
+    at most one per clique vertex.  The walk suits a sparse graph: a g
+    with at least as many edges as non-edges, the empty graph among them,
+    goes to :func:`_bron_kerbosch` whole.
     """
     rows = g.rows
-    if not g.n:
-        yield ()
-        return
     full = (1 << g.n) - 1
+    if 4 * g.edge_count() >= g.n * (g.n - 1):
+        yield from _bron_kerbosch(rows, full)
+        return
     stack = [[(), full, full]]
     while stack:
         frame = stack[-1]
@@ -200,164 +194,88 @@ def cliques_of_size(g: Graph, j: int) -> Iterator[tuple[int, ...]]:
 
 # -- independence polynomial -------------------------------------------
 
-# Masks one independence_polynomial call memoizes.  The q = 2
-# certificates and the function-grid complements, in built or random
-# vertex order, need at most 2424; relabelled complements of (2,4,6),
-# (3,5,3) and (4,6,2), with at most 864 vertices, would need 20,748 to
-# 29,089 and reach the cap.  Past the cap a node is solved without being
-# stored, so an input whose search does not finish takes time but not
-# ever more memory.
+# Masks one independence_polynomial call memoizes.  Measured with no cap
+# on one seeded relabelling each, the q = 2 certificates need at most 129
+# and the function-grid complements, in built or random vertex order, at
+# most 2358; relabelled complements of (2,4,6), (3,5,3) and (4,6,2), with
+# at most 864 vertices, would need 20,454 to 30,806 and reach the cap.
+# Past the cap a node is solved without being stored, so an input whose
+# search does not finish takes time but not ever more memory.
 _MEMO_ENTRIES = 1 << 14
 
-
-def _solve(mask: int, rows, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    """Coefficients of the independence polynomial of the graph induced on
-    mask; the rules are those of :func:`independence_polynomial`."""
-    size = mask.bit_count()
-    if size == 0:
-        return (1,)
-    if size == 1:
-        return (1, 1)
-    out = memo.get(mask)
-    if out is not None:
-        return out
-    comps = _components(mask, rows)
-    if len(comps) > 1:
-        big = [c for c in comps if c & (c - 1)]
-        singles = len(comps) - len(big)
-        product = Polynomial([comb(singles, t) for t in range(singles + 1)])
-        for c in big:  # not math.prod: its C frame per level meets 3.12's C recursion cap
-            product *= Polynomial(_solve(c, rows, memo))
-        out = product.coeffs
-    else:
-        # connected: the edge count picks the rule
-        pivot = -1
-        best = -1
-        degree_sum = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            u = low.bit_length() - 1
-            d = (rows[u] & mask).bit_count()
-            degree_sum += d
-            if d > best:
-                best = d
-                pivot = u
-            rest ^= low
-        if 2 * degree_sum > size * (size - 1):
-            out = _walk_dense(mask, rows, memo)
-        else:
-            acc = list(_solve(mask & ~(1 << pivot), rows, memo))
-            with_pivot = _solve(mask & ~(rows[pivot] | (1 << pivot)), rows, memo)
-            if len(acc) < len(with_pivot) + 1:
-                acc.extend([0] * (len(with_pivot) + 1 - len(acc)))
-            for t, c in enumerate(with_pivot):
-                acc[t + 1] += c
-            out = tuple(acc)
-    if len(memo) < _MEMO_ENTRIES:
-        memo[mask] = out
-    return out
+# What a frame of independence_polynomial holds: a term of the dense rule,
+# tested for density first; any other node, split into components first;
+# or a component of a product, connected already, which the product
+# memoizes
+_TERM, _NODE, _PART = "term", "node", "part"
 
 
-def _walk_dense(mask: int, rows, memo: dict[int, tuple[int, ...]]) -> tuple[int, ...]:
-    """Coefficients of a connected node with more edges than non-edges,
-    by the first-vertex expansion walked on an explicit stack.
+def _forward_terms(t: int, rows, limit: int) -> tuple[list[int], int]:
+    """The dense rule's terms ``later(v) - N(v)`` of T, v ascending, and
+    the non-edges they count; stops once 4 * non-edges reaches limit."""
+    terms = []
+    non_edges = 0
+    rest = t
+    while rest and 4 * non_edges < limit:
+        low = rest & -rest
+        rest ^= low
+        term = rest & ~rows[low.bit_length() - 1]
+        terms.append(term)
+        non_edges += term.bit_count()
+    return terms, non_edges
 
-    A frame is a node T at depth d, the number of vertices chosen above
-    it; it adds ``x^d * I(T)``.  One pass over T lists its terms
-    ``later(v) - N(v)`` and sums their sizes, which counts the non-edges
-    of T; it stops once T has too many to be dense.  T is expanded in place only while it is dense by the rule of
-    :func:`_solve` (four times the non-edges below |T|(|T|-1)) and
-    connected; a dense T with fewer than |T|-1 non-edges is connected.
-    Every other T goes to :func:`_solve`, and a memoized one is read from
-    the memo.  Terms of at most two vertices are counted inline.  Below an
-    expanded T the stack keeps a copy of ``acc[d:]``; once the walk under
-    T is done, the difference is I(T), memoized like a solved node, so a
-    term that recurs, as in function-graph complements in their built
-    vertex order, is walked once.
-    """
-    acc = [0] * (mask.bit_count() + 1)
-    stack = [(mask, 0)]  # the root, at depth 0, is known to be connected
-    snapshots = []  # acc[d:] below each marker (t, ~d) on the stack
-    while stack:
-        t, d = stack.pop()
-        if d < 0:  # the walk below t is done: what it added is x^~d * I(t)
-            before = snapshots.pop()
-            d = ~d
-            out = list(map(sub, acc[d : d + len(before)], before))
-            while not out[-1]:
-                out.pop()
-            if len(memo) < _MEMO_ENTRIES:
-                memo[t] = tuple(out)
-            continue
-        out = memo.get(t)
-        if out is None:
-            size = t.bit_count()
-            limit = size * (size - 1)
-            terms = []
-            non_edges = 0
-            rest = t
-            while rest and 4 * non_edges < limit:
-                low = rest & -rest
-                rest ^= low
-                term = rest & ~rows[low.bit_length() - 1]
-                terms.append(term)
-                non_edges += term.bit_count()
-            if 4 * non_edges < limit and (
-                not d or non_edges < size - 1 or len(_components(t, rows)) == 1
-            ):
-                if d and len(memo) < _MEMO_ENTRIES:
-                    stack.append((t, ~d))
-                    snapshots.append(acc[d : d + size + 1])
-                acc[d] += 1
-                d += 1
-                for term in reversed(terms):  # popped in ascending order
-                    upper = term & (term - 1)  # the term without its first vertex
-                    if upper & (upper - 1):
-                        stack.append((term, d))
-                    elif not upper:  # no vertex or one
-                        acc[d] += 1
-                        if term:
-                            acc[d + 1] += 1
-                    else:  # two vertices
-                        acc[d] += 1
-                        acc[d + 1] += 2
-                        if not rows[upper.bit_length() - 1] & term:
-                            acc[d + 2] += 1
-                continue
-            out = _solve(t, rows, memo)
-        for i, c in enumerate(out, d):
-            acc[i] += c
-    while not acc[-1]:
-        acc.pop()
-    return tuple(acc)
+
+def _max_degree(t: int, rows) -> tuple[int, int]:
+    """The lowest vertex of maximum degree in T, and T's degree sum."""
+    pivot = -1
+    best = -1
+    degree_sum = 0
+    rest = t
+    while rest:
+        low = rest & -rest
+        u = low.bit_length() - 1
+        degree = (rows[u] & t).bit_count()
+        degree_sum += degree
+        if degree > best:
+            best = degree
+            pivot = u
+        rest ^= low
+    return pivot, degree_sum
 
 
 def independence_polynomial(g: Graph) -> Polynomial:
     """Exact independence polynomial.
 
-    A disconnected node is the product of its components, the singleton
-    components folded into one ``(1 + x)^s`` factor.  A connected node
-    branches by its own edge count (s vertices, degree sum D):
+    One loop over one explicit stack; nothing recurses.  A node T of at
+    least three vertices takes the first of three rules that applies:
 
-    - dense (``2 * D > s * (s - 1)``): first-vertex expansion
-      ``I(G) = 1 + x * sum_v I(G[later(v) - N(v)])``, v ascending, where
-      later(v) are the vertices after v.  Each term is a small
-      non-neighbourhood; on a join it lies inside the part of v, so joins
-      split without being searched for.  The expansion is walked on an
-      explicit stack (:func:`_walk_dense`): a term that is dense and
-      connected in turn is expanded in place, and only the others go
-      through these rules again.  The terms of a dense node are the
-      cliques of its complement, so on the complement of a sparse graph
-      the walk lists that graph's cliques along their forward
+    - disconnected: the product of its components, the singleton
+      components folded into one ``(1 + x)^s`` factor;
+    - dense (four times its non-edges below |T|(|T|-1)): the first-vertex
+      expansion ``I(T) = 1 + x * sum_v I(T[later(v) - N(v)])``, v
+      ascending, where later(v) are the vertices after v.  Each term is a
+      small non-neighbourhood; on a join it lies inside the part of v, so
+      joins split without being searched for, and on the complement of a
+      sparse graph the terms list that graph's cliques along their forward
       neighbourhoods;
-    - sparse (no more edges than non-edges): ``I(G) = I(G - v) +
-      x * I(G - N[v])`` on the maximum-degree pivot v, ties to the lowest
-      index.
+    - otherwise ``I(T) = I(T - v) + x * I(T - N[v])`` on the
+      maximum-degree vertex v, ties to the lowest index.
+
+    A term of the dense rule is tested for density first, by a pass that
+    lists its own terms and stops once it has too many non-edges; a dense
+    T with fewer than |T| - 1 non-edges is connected, and only other
+    terms are split into components.  Every other node, mostly sparse, is
+    split first, unless it is a component of a product already, and then
+    counts its degrees.  Nodes and terms of at most two vertices are
+    counted inline.
 
     A dict local to the call memoizes the coefficients of up to
-    ``_MEMO_ENTRIES`` vertex masks, solved or walked, so each is found
-    once per call.
+    ``_MEMO_ENTRIES`` vertex masks, so each is found once per call.  A
+    node with a memo slot left collects into a list of its own; a
+    finishing frame below its children memoizes that list and adds it
+    into its frame's.  A node without a slot adds in place.  A product
+    collects each component it has not memoized into a list of its own,
+    and its finishing frame memoizes those lists and multiplies them.
 
     Slower: dense joins of sparse parts, each part being solved once per
     non-neighbourhood instead of once.  A join of two G(n, p) takes 0.26 s
@@ -365,12 +283,99 @@ def independence_polynomial(g: Graph) -> Polynomial:
     0.13, 0.27 and 2.0 s for its two parts alone (Python 3.11, best of 5
     on a shared two-core host).
     """
-    limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(limit, 3 * g.n + 200))
-    try:
-        return Polynomial(_solve((1 << g.n) - 1, g.rows, {}))
-    finally:
-        sys.setrecursionlimit(limit)
+    rows = g.rows
+    memo: dict[int, Sequence[int]] = {}
+    result = [0] * (g.n + 2)  # a zero always ends the coefficients
+    # A frame (T, d, acc, kind) adds x^d * I(T) into the list acc.  A
+    # finishing frame (T, ~d, acc, parts) runs once the frames above it are
+    # done: parts is the list T's children filled, or for a product its
+    # known factor, a Polynomial, and (C, list) for each component C pushed.
+    stack: list[tuple] = []
+    acc = result
+    kind = _NODE
+    d = 0
+    children: Iterable[int] = ((1 << g.n) - 1,)  # each at depth d
+    while True:
+        for t in children:
+            upper = t & (t - 1)  # t without its first vertex
+            if upper & (upper - 1):  # three vertices or more
+                stack.append((t, d, acc, kind))
+            else:
+                acc[d] += 1
+                if t:
+                    acc[d + 1] += 2 if upper else 1
+                    if upper and not rows[upper.bit_length() - 1] & t:
+                        acc[d + 2] += 1
+        if not stack:
+            return Polynomial(result[: result.index(0)])
+        children = ()
+        t, d, acc, kind = stack.pop()
+        if d < 0:
+            if isinstance(kind[0], Polynomial):
+                product = kind[0]
+                for c, own in kind[1:]:
+                    del own[own.index(0) :]
+                    if len(memo) < _MEMO_ENTRIES:
+                        memo[c] = own
+                    product *= Polynomial(own)
+                out = product.coeffs
+            else:
+                out = kind
+                del out[out.index(0) :]
+            if len(memo) < _MEMO_ENTRIES:
+                memo[t] = out
+            d = ~d
+        else:
+            out = memo.get(t)
+        if out is None:
+            size = t.bit_count()
+            limit = size * (size - 1)
+            if kind is _TERM:
+                terms, non_edges = _forward_terms(t, rows, limit)
+                dense = 4 * non_edges < limit
+                comps = [t] if dense and non_edges < size - 1 else _components(t, rows)
+                if not dense and len(comps) == 1:
+                    pivot = _max_degree(t, rows)[0]
+            else:
+                comps = _components(t, rows) if kind is _NODE else [t]
+                if len(comps) == 1:
+                    pivot, degree_sum = _max_degree(t, rows)
+                    dense = 2 * degree_sum > limit
+                    if dense:
+                        terms = _forward_terms(t, rows, limit)[0]
+            if len(comps) > 1:
+                big = [c for c in comps if c & (c - 1)]
+                singles = len(comps) - len(big)
+                parts = [Polynomial([comb(singles, i) for i in range(singles + 1)])]
+                stack.append((t, ~d, acc, parts))
+                for c in big:
+                    own = memo.get(c)
+                    if own is not None:
+                        parts[0] *= Polynomial(own)
+                    else:
+                        own = [0] * (c.bit_count() + 1)
+                        parts.append((c, own))
+                        stack.append((c, 0, own, _PART))
+                continue
+            if kind is not _PART and len(memo) < _MEMO_ENTRIES:
+                own = [0] * (size + 1)
+                stack.append((t, ~d, acc, own))
+                acc = own
+                d = 0
+            if dense:
+                acc[d] += 1
+                children = reversed(terms)  # popped in ascending order
+                kind = _TERM
+            else:
+                # T is connected and sparse, so it has four vertices or more
+                # and T - v three or more
+                stack.append((t & ~(1 << pivot), d, acc, _NODE))
+                children = (t & ~(rows[pivot] | 1 << pivot),)
+                kind = _NODE
+            d += 1
+            continue
+        for i, c in enumerate(out, d):
+            acc[i] += c
 
 
 # -- well-coveredness ---------------------------------------------------
@@ -396,26 +401,20 @@ def is_well_covered(g: Graph) -> WellCoveredReport:
     maximal cliques of the complement are walked until one of a second
     size appears.  Only then does the witness pair follow the order of
     :func:`maximal_independent_sets`: its first smallest and its first
-    largest set.  A complement with more edges than non-edges is listed
-    in that order at once, which suits it better than the walk.
+    largest set.
     """
     h = complement(g)
-    if not _dense(h):
-        walk = _walk_maximal_cliques(h)
-        size = len(next(walk))
-        if all(len(s) == size for s in walk):
-            return WellCoveredReport(True, size, None)
-    smallest: Optional[tuple[int, ...]] = None
-    largest: Optional[tuple[int, ...]] = None
-    for s in maximal_cliques(h):
-        if smallest is None or len(s) < len(smallest):
+    walk = _walk_maximal_cliques(h)
+    size = len(next(walk))
+    if all(len(s) == size for s in walk):
+        return WellCoveredReport(True, size, None)
+    sets = maximal_cliques(h)
+    smallest = largest = next(sets)
+    for s in sets:
+        if len(s) < len(smallest):
             smallest = s
-        if largest is None or len(s) > len(largest):
+        elif len(s) > len(largest):
             largest = s
-    if smallest is None or largest is None:
-        raise AssertionError("maximal_independent_sets yielded no set")
-    if len(smallest) == len(largest):
-        return WellCoveredReport(True, len(largest), None)
     return WellCoveredReport(False, len(largest), (smallest, largest))
 
 
@@ -467,8 +466,7 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
     of one, so condition 3 counts those subsets.  Conditions 2 and 3
     report the lexicographically smallest offending clique, which no
     enumeration order changes, so the maximal cliques come from the
-    order-free walk of :func:`_walk_maximal_cliques` (a graph with more
-    edges than non-edges from :func:`maximal_cliques`).  Condition 1
+    order-free walk of :func:`_walk_maximal_cliques`.  Condition 1
     reports the first wrong-sized maximal clique in enumeration order:
     only when the walk meets one does :func:`maximal_cliques` run, up to
     that clique.
@@ -484,7 +482,7 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
         # conditions 1 and 2 on each maximal clique, then its k-subsets
         wrong_size = False
         witness = None
-        for cl in maximal_cliques(g) if _dense(g) else _walk_maximal_cliques(g):
+        for cl in _walk_maximal_cliques(g):
             if len(cl) != q:
                 wrong_size = True
             outside = -1

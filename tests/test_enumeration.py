@@ -1,7 +1,10 @@
 import gc
+import sys
+import threading
 import tracemalloc
 from math import comb
 from random import Random
+from unittest import mock
 
 import pytest
 
@@ -130,13 +133,42 @@ def test_hub_over_clique_and_sparse_part():
         assert independence_polynomial(g) == Polynomial(coeffs)
 
 
+def path_counts(n):
+    # i_k(P_n) = C(n + 1 - k, k)
+    return [comb(n + 1 - k, k) for k in range((n + 1) // 2 + 1)]
+
+
 def test_polynomial_of_long_path():
-    # i_k(P_n) = C(n + 1 - k, k); the recursion runs about n/2 component
-    # levels deep, past Python 3.12's C recursion limit if a level went
-    # through a C call such as math.prod
-    n = 1600
-    expected = [comb(n + 1 - k, k) for k in range((n + 1) // 2 + 1)]
-    assert list(independence_polynomial(path(n))) == expected
+    # the pivot rule nests about n/2 component levels on a path; they live
+    # on the solver's own stack, so no Python or C recursion limit applies
+    # and the recursion limit is never raised
+    with mock.patch.object(sys, "setrecursionlimit", side_effect=AssertionError("raised")):
+        assert list(independence_polynomial(path(1600))) == path_counts(1600)
+
+
+def test_concurrent_calls_leave_the_recursion_limit_alone():
+    # a call that raised the process-wide recursion limit and restored it
+    # on return cut the limit under a longer call in another thread, which
+    # then raised RecursionError, and could leave the limit changed
+    limit = sys.getrecursionlimit()
+    results = {}
+
+    def count(n):
+        results[n] = list(independence_polynomial(path(n)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # many thread switches per call
+    try:
+        threads = [threading.Thread(target=count, args=(n,)) for n in (300, 1000)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert sys.getrecursionlimit() == limit
+    assert results == {n: path_counts(n) for n in (300, 1000)}
 
 
 def test_independence_polynomial_leaves_no_reference_cycle():

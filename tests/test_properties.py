@@ -13,12 +13,14 @@ against their predicted counts, and the enumeration order and clique
 extension witnesses against the recursive references on random graphs.  The
 order-free maximal clique walk, well-coveredness and the clique extension
 check are also compared with their references on joins and disjoint
-unions of two random graphs.  Relabelling a graph changes none of the
-answers read off it."""
+unions of two random graphs, and the independence polynomial on both
+kinds of graph with no memo slot, three slots and the default.
+Relabelling a graph changes none of the answers read off it."""
 
 from fractions import Fraction
 from math import comb, floor
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,18 @@ def test_clique_extension_matches_membership_reference(g, k, dq, m):
 @given(random_graphs(14))
 def test_independence_polynomial_matches_subset_count(g):
     assert independence_polynomial(g) == independence_polynomial_bruteforce(g)
+
+
+# With no memo slot every node adds in place; with three, the first nodes
+# collect into lists of their own and the rest add in place; by default
+# every node is memoized.  Nested graphs reach products and joins at every
+# depth, walk graphs the dense and sparse rules on random graphs.
+@pytest.mark.parametrize("cap", [0, 3, enumeration._MEMO_ENTRIES])
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(nested_graphs(14), walk_graphs()))
+def test_independence_polynomial_under_memo_caps(cap, g):
+    with mock.patch.object(enumeration, "_MEMO_ENTRIES", cap):
+        assert independence_polynomial(g) == independence_polynomial_bruteforce(g)
 
 
 def relabel(g: Graph, sigma) -> Graph:
