@@ -11,14 +11,15 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 from math import comb
 from numbers import Rational
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .function_graph import _validate_params
 from .graph import Graph, _bits, complement
-from .polynomial import Polynomial
+from .polynomial import Polynomial, _convolve
 
 # -- maximal clique / independent set enumeration ----------------------
 
@@ -27,21 +28,36 @@ def _components(mask: int, rows) -> list[int]:
     """Connected components of the graph induced on mask, as bit masks,
     ordered by smallest contained vertex."""
     comps = []
-    remaining = mask
-    while remaining:
-        comp = 0
-        frontier = remaining & -remaining
+    while mask:  # mask holds the vertices no component has reached yet
+        comp = frontier = mask & -mask
+        mask ^= frontier
         while frontier:
-            comp |= frontier
             nxt = 0
             while frontier:
                 low = frontier & -frontier
                 nxt |= rows[low.bit_length() - 1]
                 frontier ^= low
-            frontier = nxt & mask & ~comp
+            frontier = nxt & mask
+            mask ^= frontier
+            comp |= frontier
         comps.append(comp)
-        remaining &= ~comp
     return comps
+
+
+def _max_degree(scan: int, t: int, rows) -> int:
+    """The vertex of scan with the most neighbours in T, ties to the
+    lowest index: the pivot of Bron-Kerbosch and of the pivot rule."""
+    pivot = -1
+    best = -1
+    while scan:
+        low = scan & -scan
+        u = low.bit_length() - 1
+        degree = (rows[u] & t).bit_count()
+        if degree > best:
+            best = degree
+            pivot = u
+        scan ^= low
+    return pivot
 
 
 def _bron_kerbosch(
@@ -60,17 +76,7 @@ def _bron_kerbosch(
     stack: list[list[int]] = []
     while True:
         if p:
-            pivot = -1
-            best = -1
-            scan = p | x
-            while scan:
-                low = scan & -scan
-                u = low.bit_length() - 1
-                d = (p & rows[u]).bit_count()
-                if d > best:
-                    best = d
-                    pivot = u
-                scan ^= low
+            pivot = _max_degree(p | x, p, rows)
             stack.append([p, x, p & ~rows[pivot]])
         elif not x:
             yield tuple(sorted(clique))
@@ -194,20 +200,15 @@ def cliques_of_size(g: Graph, j: int) -> Iterator[tuple[int, ...]]:
 
 # -- independence polynomial -------------------------------------------
 
-# Masks one independence_polynomial call memoizes.  Measured with no cap
-# on one seeded relabelling each, the q = 2 certificates need at most 129
-# and the function-grid complements, in built or random vertex order, at
-# most 2358; relabelled complements of (2,4,6), (3,5,3) and (4,6,2), with
-# at most 864 vertices, would need 20,454 to 30,806 and reach the cap.
-# Past the cap a node is solved without being stored, so an input whose
-# search does not finish takes time but not ever more memory.
+# Masks one independence_polynomial call memoizes, components of products
+# included.  Measured with no cap on one seeded relabelling each, the q = 2
+# certificates need at most 145 and the function-grid complements, in
+# built or random vertex order, at most 2,379; relabelled complements of
+# (2,4,6), (3,5,3) and (4,6,2), with at most 864 vertices, would need
+# 20,303 to 28,349 and reach the cap.  Past the cap a node is solved
+# without being stored, so an input whose search does not finish takes
+# time but not ever more memory.
 _MEMO_ENTRIES = 1 << 14
-
-# What a frame of independence_polynomial holds: a term of the dense rule,
-# tested for density first; any other node, split into components first;
-# or a component of a product, connected already, which the product
-# memoizes
-_TERM, _NODE, _PART = "term", "node", "part"
 
 
 def _forward_terms(t: int, rows, limit: int) -> tuple[list[int], int]:
@@ -225,81 +226,69 @@ def _forward_terms(t: int, rows, limit: int) -> tuple[list[int], int]:
     return terms, non_edges
 
 
-def _max_degree(t: int, rows) -> tuple[int, int]:
-    """The lowest vertex of maximum degree in T, and T's degree sum."""
-    pivot = -1
-    best = -1
-    degree_sum = 0
-    rest = t
-    while rest:
-        low = rest & -rest
-        u = low.bit_length() - 1
-        degree = (rows[u] & t).bit_count()
-        degree_sum += degree
-        if degree > best:
-            best = degree
-            pivot = u
-        rest ^= low
-    return pivot, degree_sum
-
-
 def independence_polynomial(g: Graph) -> Polynomial:
     """Exact independence polynomial.
 
-    One loop over one explicit stack; nothing recurses.  A node T of at
-    least three vertices takes the first of three rules that applies:
+    One loop over one explicit stack; nothing recurses.  Every node T of
+    at least three vertices follows one rule.  A memo hit adds the stored
+    coefficients.  Otherwise a pass over T's vertices v, ascending, lists
+    the dense rule's terms ``later(v) - N(v)``, where later(v) are the
+    vertices after v, and stops once four times the non-edges they count
+    reaches |T|(|T|-1).  T is split into components unless that pass
+    proves it connected: a dense T with fewer than |T| - 1 non-edges is.
+    Then T takes the first of three rules that applies:
 
     - disconnected: the product of its components, the singleton
       components folded into one ``(1 + x)^s`` factor;
     - dense (four times its non-edges below |T|(|T|-1)): the first-vertex
-      expansion ``I(T) = 1 + x * sum_v I(T[later(v) - N(v)])``, v
-      ascending, where later(v) are the vertices after v.  Each term is a
-      small non-neighbourhood; on a join it lies inside the part of v, so
-      joins split without being searched for, and on the complement of a
-      sparse graph the terms list that graph's cliques along their forward
-      neighbourhoods;
+      expansion ``I(T) = 1 + x * sum_v I(T[later(v) - N(v)])``.  Each term
+      is a small non-neighbourhood; on a join it lies inside the part of
+      v, so joins split without being searched for, and on the complement
+      of a sparse graph the terms list that graph's cliques along their
+      forward neighbourhoods;
     - otherwise ``I(T) = I(T - v) + x * I(T - N[v])`` on the
-      maximum-degree vertex v, ties to the lowest index.
+      maximum-degree vertex v, ties to the lowest index, found by the
+      pivot scan that Bron-Kerbosch uses too.
 
-    A term of the dense rule is tested for density first, by a pass that
-    lists its own terms and stops once it has too many non-edges; a dense
-    T with fewer than |T| - 1 non-edges is connected, and only other
-    terms are split into components.  Every other node, mostly sparse, is
-    split first, unless it is a component of a product already, and then
-    counts its degrees.  Nodes and terms of at most two vertices are
-    counted inline.
+    Children of at most two vertices are counted inline, except a
+    product's components.
 
-    A dict local to the call memoizes the coefficients of up to
-    ``_MEMO_ENTRIES`` vertex masks, so each is found once per call.  A
-    node with a memo slot left collects into a list of its own; a
-    finishing frame below its children memoizes that list and adds it
-    into its frame's.  A node without a slot adds in place.  A product
-    collects each component it has not memoized into a list of its own,
-    and its finishing frame memoizes those lists and multiplies them.
+    A product pushes each component of two vertices or more as an ordinary
+    node into a plain list of its own; once they are filled, a finishing
+    frame multiplies the lists.  A dict local to the call memoizes the
+    coefficients of up to ``_MEMO_ENTRIES`` vertex masks, so each is found
+    once per call.  A connected node with a memo slot left also collects
+    into a list of its own, which its finishing frame memoizes and adds
+    into its parent's; a node without a slot adds in place.  The only
+    Polynomial a call builds is its result.
 
-    Slower: dense joins of sparse parts, each part being solved once per
-    non-neighbourhood instead of once.  A join of two G(n, p) takes 0.26 s
-    (n = 50, p = 0.15), 1.2 s (60, 0.08) and 7.4 s (80, 0.05), against
-    0.13, 0.27 and 2.0 s for its two parts alone (Python 3.11, best of 5
-    on a shared two-core host).
+    Slower:
+
+    - long paths, whose components are split again when their own node
+      pops: P_600 and P_1600 take 1.27-1.36 times as long as when a
+      product's components skipped that split (best of 15 to 21 CPU times
+      on a shared two-core host, Python 3.11);
+    - dense joins of sparse parts, each part being solved once per
+      non-neighbourhood instead of once.  A join of two G(n, p) takes
+      0.26 s (n = 50, p = 0.15), 1.2 s (60, 0.08) and 7.4 s (80, 0.05),
+      against 0.13, 0.27 and 2.0 s for its two parts alone (best of 5).
     """
     rows = g.rows
-    memo: dict[int, Sequence[int]] = {}
+    memo: dict[int, list[int]] = {}
     result = [0] * (g.n + 2)  # a zero always ends the coefficients
-    # A frame (T, d, acc, kind) adds x^d * I(T) into the list acc.  A
-    # finishing frame (T, ~d, acc, parts) runs once the frames above it are
-    # done: parts is the list T's children filled, or for a product its
-    # known factor, a Polynomial, and (C, list) for each component C pushed.
+    # A node (T, d, acc, None) adds x^d * I(T) into the list acc.  A
+    # finishing frame (T, d, acc, factors) runs once the frames above it are
+    # done and does the same: factors are lists that T's children filled,
+    # each ended by a zero, and I(T) is their product.
     stack: list[tuple] = []
     acc = result
-    kind = _NODE
     d = 0
     children: Iterable[int] = ((1 << g.n) - 1,)  # each at depth d
     while True:
         for t in children:
             upper = t & (t - 1)  # t without its first vertex
             if upper & (upper - 1):  # three vertices or more
-                stack.append((t, d, acc, kind))
+                stack.append((t, d, acc, None))
             else:
                 acc[d] += 1
                 if t:
@@ -309,69 +298,47 @@ def independence_polynomial(g: Graph) -> Polynomial:
         if not stack:
             return Polynomial(result[: result.index(0)])
         children = ()
-        t, d, acc, kind = stack.pop()
-        if d < 0:
-            if isinstance(kind[0], Polynomial):
-                product = kind[0]
-                for c, own in kind[1:]:
-                    del own[own.index(0) :]
-                    if len(memo) < _MEMO_ENTRIES:
-                        memo[c] = own
-                    product *= Polynomial(own)
-                out = product.coeffs
-            else:
-                out = kind
-                del out[out.index(0) :]
+        t, d, acc, factors = stack.pop()
+        if factors is not None:
+            for own in factors:
+                del own[own.index(0) :]
+            out = reduce(_convolve, factors)
             if len(memo) < _MEMO_ENTRIES:
                 memo[t] = out
-            d = ~d
         else:
             out = memo.get(t)
         if out is None:
             size = t.bit_count()
             limit = size * (size - 1)
-            if kind is _TERM:
-                terms, non_edges = _forward_terms(t, rows, limit)
-                dense = 4 * non_edges < limit
-                comps = [t] if dense and non_edges < size - 1 else _components(t, rows)
-                if not dense and len(comps) == 1:
-                    pivot = _max_degree(t, rows)[0]
-            else:
-                comps = _components(t, rows) if kind is _NODE else [t]
-                if len(comps) == 1:
-                    pivot, degree_sum = _max_degree(t, rows)
-                    dense = 2 * degree_sum > limit
-                    if dense:
-                        terms = _forward_terms(t, rows, limit)[0]
+            terms, non_edges = _forward_terms(t, rows, limit)
+            dense = 4 * non_edges < limit
+            # a T with fewer than |T| - 1 non-edges is connected
+            comps = [t] if dense and non_edges < size - 1 else _components(t, rows)
             if len(comps) > 1:
                 big = [c for c in comps if c & (c - 1)]
                 singles = len(comps) - len(big)
-                parts = [Polynomial([comb(singles, i) for i in range(singles + 1)])]
-                stack.append((t, ~d, acc, parts))
+                # (1 + x)^singles, ended by comb(singles, singles + 1) = 0
+                factors = [[comb(singles, i) for i in range(singles + 2)]]
+                stack.append((t, d, acc, factors))
                 for c in big:
-                    own = memo.get(c)
-                    if own is not None:
-                        parts[0] *= Polynomial(own)
-                    else:
-                        own = [0] * (c.bit_count() + 1)
-                        parts.append((c, own))
-                        stack.append((c, 0, own, _PART))
+                    own = [0] * (c.bit_count() + 1)
+                    factors.append(own)
+                    stack.append((c, 0, own, None))
                 continue
-            if kind is not _PART and len(memo) < _MEMO_ENTRIES:
+            if len(memo) < _MEMO_ENTRIES:
                 own = [0] * (size + 1)
-                stack.append((t, ~d, acc, own))
+                stack.append((t, d, acc, [own]))
                 acc = own
                 d = 0
             if dense:
                 acc[d] += 1
                 children = reversed(terms)  # popped in ascending order
-                kind = _TERM
             else:
                 # T is connected and sparse, so it has four vertices or more
                 # and T - v three or more
-                stack.append((t & ~(1 << pivot), d, acc, _NODE))
+                pivot = _max_degree(t, t, rows)
+                stack.append((t & ~(1 << pivot), d, acc, None))
                 children = (t & ~(rows[pivot] | 1 << pivot),)
-                kind = _NODE
             d += 1
             continue
         for i, c in enumerate(out, d):

@@ -117,20 +117,46 @@ def test_dense_join_of_sparse_parts_adds():
     assert independence_polynomial(join([a, b])) == Polynomial(expected)
 
 
+def hub_over_clique(sparse_edges):
+    # K_1 v (K_100 u H), H on the 40 vertices 100..139 with the given edges
+    clique = [(u, v) for u in range(100) for v in range(u + 1, 100)]
+    return join([complete(1), Graph.from_edges(140, clique + sparse_edges)])
+
+
+MATCHING_20 = [(100 + 2 * i, 101 + 2 * i) for i in range(20)]
+
+
 def test_hub_over_clique_and_sparse_part():
     # K_1 v (K_100 u E_40) and K_1 v (K_100 u M_20), M_20 a perfect matching
     # on 40 vertices: I = x + (1 + 100x)(1 + x)^40 and x + (1 + 100x)(1 + 2x)^20.
     # Every vertex of K_100 has the same sparse part as its term
-    clique = [(u, v) for u in range(100) for v in range(u + 1, 100)]
-    matching = [(100 + 2 * i, 101 + 2 * i) for i in range(20)]
     for sparse_edges, sparse_part in (
         ([], Polynomial([comb(40, t) for t in range(41)])),
-        (matching, Polynomial([comb(20, t) * 2**t for t in range(21)])),
+        (MATCHING_20, Polynomial([comb(20, t) * 2**t for t in range(21)])),
     ):
-        g = join([complete(1), Graph.from_edges(140, clique + sparse_edges)])
         coeffs = list(Polynomial([1, 100]) * sparse_part)
         coeffs[1] += 1
-        assert independence_polynomial(g) == Polynomial(coeffs)
+        assert independence_polynomial(hub_over_clique(sparse_edges)) == Polynomial(coeffs)
+
+
+def test_products_build_no_polynomial():
+    # a product multiplies plain coefficient lists, so the one Polynomial a
+    # call constructs is its result; both inputs have products
+    built = []
+
+    class Counting(Polynomial):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    graphs = [complement(build_function_graph(1, 5, 3)), hub_over_clique(MATCHING_20)]
+    expected = [independence_polynomial(g).coeffs for g in graphs]
+    with mock.patch.object(enumeration, "Polynomial", Counting):
+        for g, coeffs in zip(graphs, expected):
+            built.clear()
+            result = independence_polynomial(g)
+            assert len(built) == 1 and built[0] is result
+            assert result.coeffs == coeffs
 
 
 def path_counts(n):

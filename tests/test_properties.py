@@ -13,8 +13,9 @@ against their predicted counts, and the enumeration order and clique
 extension witnesses against the recursive references on random graphs.  The
 order-free maximal clique walk, well-coveredness and the clique extension
 check are also compared with their references on joins and disjoint
-unions of two random graphs, and the independence polynomial on both
-kinds of graph with no memo slot, three slots and the default.
+unions of two random graphs, and the independence polynomial on nested,
+random and sparse graphs (paths, cycles, and joins and unions of sparse
+random graphs) with no memo slot, three slots and the default.
 Relabelling a graph changes none of the answers read off it."""
 
 from fractions import Fraction
@@ -175,13 +176,37 @@ def test_independence_polynomial_matches_subset_count(g):
     assert independence_polynomial(g) == independence_polynomial_bruteforce(g)
 
 
-# With no memo slot every node adds in place; with three, the first nodes
-# collect into lists of their own and the rest add in place; by default
-# every node is memoized.  Nested graphs reach products and joins at every
-# depth, walk graphs the dense and sparse rules on random graphs.
+@st.composite
+def sparse_graphs(draw) -> Graph:
+    """A path or cycle on 10 to 14 vertices in a drawn vertex order, or a
+    join or disjoint union of G(n1, p) and G(n2, p) with p <= 0.2, n1 and
+    n2 at least 4 and n1 + n2 <= 14.  Smaller graphs meet few memo hits
+    or pivots."""
+    kind = draw(st.sampled_from(["path", "cycle", "join", "union"]))
+    if kind in ("path", "cycle"):
+        order = draw(st.permutations(range(draw(st.integers(10, 14)))))
+        if kind == "cycle":
+            order.append(order[0])
+        return Graph.from_edges(len(set(order)), list(zip(order, order[1:])))
+    p = draw(st.sampled_from([0.05, 0.1, 0.15, 0.2]))
+    n1 = draw(st.integers(4, 10))
+    n2 = draw(st.integers(4, 14 - n1))
+    g, h = (
+        bruteforce.random_graph(Random(draw(st.integers(0, 2**32))), n, p)
+        for n in (n1, n2)
+    )
+    return join([g, h]) if kind == "join" else disjoint_union(g, h)
+
+
+# With no memo slot only products collect into lists of their own; with
+# three, the first nodes do too; by default every node is memoized.
+# Nested graphs reach products and joins at every depth, walk graphs the
+# dense and sparse rules on random graphs, and sparse graphs the pivot
+# rule, products of sparse components, memo hits and the density pass
+# that stops early.
 @pytest.mark.parametrize("cap", [0, 3, enumeration._MEMO_ENTRIES])
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(nested_graphs(14), walk_graphs()))
+@given(st.one_of(nested_graphs(14), walk_graphs(), sparse_graphs()))
 def test_independence_polynomial_under_memo_caps(cap, g):
     with mock.patch.object(enumeration, "_MEMO_ENTRIES", cap):
         assert independence_polynomial(g) == independence_polynomial_bruteforce(g)
