@@ -420,28 +420,107 @@ class CliqueExtensionReport:
         }
 
 
+def _splits_into_blocks(x: int, rows, size: int, m: int) -> bool:
+    """Whether the graph induced on x is a disjoint union of at least m
+    cliques of exactly ``size`` vertices.  Block by block: the lowest
+    vertex u left in x and its neighbours in x form a block of ``size``
+    vertices, each vertex w of the block sees exactly the rest of it in
+    x, and the block leaves x."""
+    blocks = 0
+    while x:
+        low = x & -x
+        block = rows[low.bit_length() - 1] & x | low
+        if block.bit_count() != size:
+            return False
+        rest = block ^ low
+        while rest:
+            w = rest & -rest
+            rest ^= w
+            if rows[w.bit_length() - 1] & x | w != block:
+                return False
+        x ^= block
+        blocks += 1
+    return blocks >= m
+
+
+def _extends_locally(g: Graph, k: int, q: int, m: int) -> bool:
+    """The local rule of :func:`check_clique_extension`: every clique of
+    fewer than k vertices has a common neighbour, and the common
+    neighbourhood of every k-clique is a disjoint union of at least m
+    cliques of q - k vertices.
+
+    The cliques of fewer than k vertices are walked depth-first, each
+    reached once along its ascending order through its forward
+    neighbourhood, as :func:`_walk_maximal_cliques` does.  A frame [C, P]
+    is one such clique's common neighbourhood and the forward candidates
+    not yet taken; frame i holds a clique of i vertices, so the stack
+    holds at most k frames.  A k-clique is checked where it is met and
+    never pushed.
+    """
+    rows = g.rows
+    full = (1 << g.n) - 1
+    if k == 0:
+        return _splits_into_blocks(full, rows, q, m)
+    if not full:
+        return False  # the empty clique is maximal
+    stack = [[full, full]]
+    while stack:
+        frame = stack[-1]
+        c, p = frame
+        if not p:
+            stack.pop()
+            continue
+        low = p & -p
+        p ^= low
+        frame[1] = p
+        row = rows[low.bit_length() - 1]
+        if len(stack) == k:
+            if not _splits_into_blocks(c & row, rows, q - k, m):
+                return False
+        elif not c & row:
+            return False  # a maximal clique of fewer than k vertices
+        else:
+            stack.append([c & row, p & row])
+    return True
+
+
 def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionReport:
-    """Exhaustively verify the clique extension property with parameters
-    (k, q, m), reading every condition off the maximal cliques.  No
-    sampling.
+    """Exactly verify the clique extension property with parameters
+    (k, q, m).  No sampling.
 
-    Every clique lies in some maximal clique C.  A (k+1)-clique S inside
-    C lies in a second maximal clique iff some common neighbour of S is
-    outside C, so condition 2 checks the common neighbourhood of each
-    (k+1)-subset of each maximal clique.  The number of maximal cliques
-    containing a k-clique is the number of times it occurs as a k-subset
-    of one, so condition 3 counts those subsets.  Conditions 2 and 3
-    report the lexicographically smallest offending clique, which no
-    enumeration order changes, so the maximal cliques come from the
-    order-free walk of :func:`_walk_maximal_cliques`.  Condition 1
-    reports the first wrong-sized maximal clique in enumeration order:
-    only when the walk meets one does :func:`maximal_cliques` run, up to
-    that clique.
+    The property holds iff the local rule of :func:`_extends_locally`
+    does: no clique of fewer than k vertices is maximal, and the common
+    neighbourhood N(S) of every k-clique S (S empty when k = 0) is a
+    disjoint union of at least m cliques of q - k vertices.  If the rule
+    holds, the maximal cliques through S are S plus one block each, so a
+    (k+1)-clique lies in exactly one of them, of q vertices, and S in at
+    least m; no maximal clique has fewer than k vertices, nor exactly k
+    since m >= 1.  If the property holds, the maximal cliques through S
+    have q - k vertices in N(S) and each vertex of N(S) lies in exactly
+    one, so they are its blocks, at least m, with no edge between two of
+    them.  A holding input is therefore decided from the cliques of at
+    most k vertices, and no maximal clique is enumerated.
 
-    The maximal cliques are read in one pass and none is kept: each
+    When the rule fails, the exhaustive pass builds the report and its
+    witnesses from the maximal cliques.  Every clique lies in some
+    maximal clique C.  A (k+1)-clique S inside C lies in a second maximal
+    clique iff some common neighbour of S is outside C, so condition 2
+    checks the common neighbourhood of each (k+1)-subset of each maximal
+    clique.  The number of maximal cliques containing a k-clique is the
+    number of times it occurs as a k-subset of one, so condition 3 counts
+    those subsets.  Conditions 2 and 3 report the lexicographically
+    smallest offending clique, which no enumeration order changes, so the
+    maximal cliques come from the order-free walk of
+    :func:`_walk_maximal_cliques`.  Condition 1 reports the first
+    wrong-sized maximal clique in enumeration order: only when the walk
+    meets one does :func:`maximal_cliques` run, up to that clique.
+
+    That pass reads the maximal cliques once and keeps none: each
     clique's k-subsets go straight into the count.
     """
     _validate_params(k, q, m)
+    if _extends_locally(g, k, q, m):
+        return CliqueExtensionReport(True, k, q, m, ())
     rows = g.rows
     violations: list[tuple[int, tuple[int, ...]]] = []
 

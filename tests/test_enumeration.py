@@ -297,10 +297,24 @@ def test_well_covered_json():
 # -- clique extension property --------------------------------------------
 
 
+HOLDING = [
+    (build_function_graph(1, 3, 2), (1, 3, 2)),
+    (build_function_graph(1, 3, 16), (1, 3, 16)),
+    (build_function_graph(2, 4, 3), (2, 4, 3)),
+    (kneser(8, 2), (2, 4, 3)),
+    (complete(4), (1, 4, 1)),
+    (build_function_graph(0, 3, 2), (0, 3, 2)),
+]
+
+
 def test_check_clique_extension_holds():
-    assert check_clique_extension(build_function_graph(1, 3, 2), 1, 3, 2).holds
-    assert check_clique_extension(complete(4), 1, 4, 1).holds
-    assert check_clique_extension(kneser(8, 2), 2, 4, 3).holds
+    # the verdict comes from the cliques of at most k vertices; only a
+    # failing report walks the maximal cliques
+    refuse = {"side_effect": AssertionError("maximal cliques enumerated")}
+    with mock.patch.object(enumeration, "_walk_maximal_cliques", **refuse), \
+            mock.patch.object(enumeration, "maximal_cliques", **refuse):
+        for g, params in HOLDING:
+            assert check_clique_extension(g, *params).holds, params
 
 
 def test_check_clique_extension_violations():
@@ -321,6 +335,19 @@ def test_check_clique_extension_violations():
     report3 = check_clique_extension(complete(3), 0, 3, 2)
     assert not report3.holds
     assert report3.violations == ((3, ()),)
+
+    # the isolated vertex is a maximal clique of fewer than k vertices,
+    # though every k-clique's common neighbourhood is one block
+    g4 = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2)])
+    report4 = check_clique_extension(g4, 2, 3, 1)
+    assert report4.violations == ((1, (3,)),)
+    assert report4 == bruteforce.check_clique_extension(g4, 2, 3, 1)
+
+    # the graph on no vertices: its one maximal clique is the empty one
+    for k in (0, 1):
+        report5 = check_clique_extension(Graph(0, []), k, 3, 1)
+        assert report5.violations == ((1, ()),)
+        assert report5 == bruteforce.check_clique_extension(Graph(0, []), k, 3, 1)
 
 
 def test_condition_3_witness_is_lexicographically_smallest():
@@ -347,18 +374,42 @@ def test_condition_1_witness_is_first_in_enumeration_order():
 
 
 def test_check_clique_extension_keeps_no_clique_list():
-    # (1,3,16) has 4,096 maximal cliques on 768 vertices.  Read in one pass,
-    # the peak is the count of the 768 k-subsets, about 73 kB; a list of
-    # the cliques and a second pass over it peaked at 485 kB
-    g = build_function_graph(1, 3, 16)
-    tracemalloc.start()
-    try:
-        report = check_clique_extension(g, 1, 3, 16)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.holds
-    assert peak < 200_000, peak
+    # (1,3,16) has 4,096 maximal cliques on 768 vertices and (2,4,4) 4,096
+    # on 256.  A holding input is decided by the local rule, whose stack
+    # holds at most k frames: the peaks are about 1.7 and 1.1 kB.  The
+    # exhaustive pass, which counts every k-subset of every maximal
+    # clique, peaks at 76 and 736 kB on them
+    for params in ((1, 3, 16), (2, 4, 4)):
+        g = build_function_graph(*params)
+        tracemalloc.start()
+        try:
+            report = check_clique_extension(g, *params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.holds
+        assert peak < 20_000, (params, peak)
+
+
+def test_local_rule_keeps_at_most_k_frames():
+    # one lazy frame per clique of fewer than k vertices on the path to
+    # the current one; a k-clique is checked where it is met, not pushed
+    code = enumeration._extends_locally.__code__
+    previous = sys.gettrace()
+    for g, params in HOLDING + [(build_function_graph(3, 5, 2), (3, 5, 2))]:
+        deepest = 0
+
+        def line(frame, event, arg):
+            nonlocal deepest
+            deepest = max(deepest, len(frame.f_locals.get("stack", ())))
+            return line
+
+        sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
+        try:
+            holds = enumeration._extends_locally(g, *params)
+        finally:
+            sys.settrace(previous)
+        assert holds and deepest == params[0], (params, deepest)
 
 
 def test_check_clique_extension_param_validation():

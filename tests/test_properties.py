@@ -15,7 +15,12 @@ order-free maximal clique walk, well-coveredness and the clique extension
 check are also compared with their references on joins and disjoint
 unions of two random graphs, and the independence polynomial on nested,
 random and sparse graphs (paths, cycles, and joins and unions of sparse
-random graphs) with no memo slot, three slots and the default.
+random graphs) with no memo slot, three slots and the default.  The
+whole clique extension report is compared with its reference on
+relabelled function graphs with at most one pair toggled, some beside a
+second function graph or a lone vertex, at their own parameters and one
+step off them: random graphs almost never have the property, these
+reach its accepting local rule and each way that rule fails.
 Relabelling a graph changes none of the answers read off it."""
 
 from fractions import Fraction
@@ -239,6 +244,48 @@ def test_relabelled_function_graph_complement_changes_no_answer():
     sigma = list(range(g.n))
     Random(1).shuffle(sigma)
     assert_relabelling_changes_no_answer(g, sigma, maximal_independent_sets)
+
+
+# Function graphs on at most 32 vertices; unions of two with the same
+# (k, q) stay within 40.
+NEAR_GRID = [(0, 3, 2), (0, 3, 3), (1, 3, 2), (1, 3, 3), (2, 3, 2), (2, 3, 3),
+             (1, 4, 2), (2, 4, 2), (3, 4, 2)]
+
+
+@st.composite
+def near_function_graphs(draw):
+    """A function graph from NEAR_GRID in a drawn vertex order, with zero
+    or one drawn pair toggled, optionally after a second function graph
+    of the same (k, q) or a lone vertex; and parameters drawn from its
+    own (k, q, m), m one off, k one off or q one more.  Random graphs
+    almost never have the clique extension property; these often do, or
+    miss it by one condition.  The lone vertex is a maximal clique of
+    fewer than k vertices once k >= 2."""
+    k, q, m = draw(st.sampled_from(NEAR_GRID))
+    g = build_function_graph(k, q, m)
+    sigma = draw(st.permutations(range(g.n)))
+    g = relabel(g, sigma)
+    if draw(st.booleans()):
+        u, v = draw(st.lists(st.integers(0, g.n - 1), min_size=2, max_size=2, unique=True))
+        rows = list(g.rows)
+        rows[u] ^= 1 << v
+        rows[v] ^= 1 << u
+        g = Graph(g.n, tuple(rows))
+    partners = [build_function_graph(*p) for p in NEAR_GRID
+                if p[:2] == (k, q) and g.n + vertex_count(*p) <= 40]
+    if draw(st.booleans()):
+        g = disjoint_union(draw(st.sampled_from([Graph(1, (0,)), *partners])), g)
+    candidates = [(k, q, m), (k, q, m - 1), (k, q, m + 1), (k - 1, q, m), (k + 1, q, m),
+                  (k, q + 1, m)]
+    params = draw(st.sampled_from([(a, b, c) for a, b, c in candidates if 0 <= a < b and c >= 1]))
+    return g, params
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_function_graphs())
+def test_clique_extension_near_function_graphs_matches_reference(case):
+    g, (k, q, m) = case
+    assert check_clique_extension(g, k, q, m) == bruteforce.check_clique_extension(g, k, q, m)
 
 
 @st.composite
