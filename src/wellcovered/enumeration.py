@@ -67,9 +67,8 @@ def _bron_kerbosch(
     tuples, the maximal cliques that contain the clique ``seed`` and lie
     in seed | p, given that p | x is the common neighbourhood of seed.
 
-    Pivot: the vertex of P|X maximizing |P & N(u)|, ties to the lowest
-    index; the candidates P - N(pivot) are taken in ascending order.
-    This fixes the enumeration order.  Each frame is [P, X, candidates
+    The pivot, the vertex of P|X maximizing |P & N(u)|, leaves only the
+    candidates P - N(pivot) to branch on.  Each frame is [P, X, candidates
     left]; the clique of frame i is ``clique[:len(seed) + i]``.
     """
     clique = list(seed)
@@ -98,9 +97,9 @@ def _bron_kerbosch(
         x &= rows[v]
 
 
-def _walk_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Every maximal clique exactly once, as sorted tuples, in an order
-    that nothing promises: for counts and verdicts, not for witnesses.
+def maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
+    """Enumerate every maximal clique exactly once, as sorted vertex tuples,
+    in an order that nothing promises.
 
     Each clique is reached along its ascending order.  A node is a clique
     R, its common neighbourhood C and its forward candidates P, the
@@ -114,8 +113,9 @@ def _walk_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
     :func:`_bron_kerbosch` seeded with (R, P, C - P).  Every other child
     is pushed.  Frames are pushed one level at a time, so the stack holds
     at most one per clique vertex.  The walk suits a sparse graph: a g
-    with at least as many edges as non-edges, the empty graph among them,
-    goes to :func:`_bron_kerbosch` whole.
+    with at least as many edges as non-edges goes to :func:`_bron_kerbosch`
+    whole, and so does the graph on no vertices, whose one maximal clique
+    is the empty one.
     """
     rows = g.rows
     full = (1 << g.n) - 1
@@ -170,22 +170,9 @@ def _walk_maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
         stack.append([r, child_c, child_p])
 
 
-def maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Enumerate every maximal clique exactly once, as sorted vertex tuples.
-
-    A maximal clique never spans components, so Bron-Kerbosch runs on
-    each connected component in turn, ordered by smallest vertex.
-    """
-    if g.n == 0:
-        yield ()
-        return
-    for comp in _components((1 << g.n) - 1, g.rows):
-        yield from _bron_kerbosch(g.rows, comp)
-
-
 def maximal_independent_sets(g: Graph) -> Iterator[tuple[int, ...]]:
-    """Enumerate every maximal independent set exactly once (deterministic
-    order for a fixed graph)."""
+    """Enumerate every maximal independent set exactly once: the maximal
+    cliques of the complement, in no promised order."""
     return maximal_cliques(complement(g))
 
 
@@ -351,9 +338,10 @@ def independence_polynomial(g: Graph) -> Polynomial:
 class WellCoveredReport(NamedTuple):
     """Outcome of the well-coveredness test.
 
-    ``witness`` is a pair of maximal independent sets of distinct sizes
-    whenever the graph is not well-covered, else None.  ``alpha`` is the
-    independence number in either case.
+    ``witness`` is None when the graph is well-covered.  Otherwise it is
+    the lexicographically smallest maximal independent set of the smallest
+    size and the lexicographically smallest one of the largest size, each a
+    sorted tuple.  ``alpha`` is the independence number in either case.
     """
 
     is_well_covered: bool
@@ -364,23 +352,24 @@ class WellCoveredReport(NamedTuple):
 def is_well_covered(g: Graph) -> WellCoveredReport:
     """Whether every maximal independent set of g has the same size.
 
-    The verdict and ``alpha`` do not depend on an enumeration order: the
-    maximal cliques of the complement are walked until one of a second
-    size appears.  Only then does the witness pair follow the order of
-    :func:`maximal_independent_sets`: its first smallest and its first
-    largest set.
+    The maximal cliques of the complement are walked until one of a second
+    size appears.  A well-covered graph walks once and keeps nothing.  Any
+    other walks a second time for its witness pair, the lexicographic
+    minima of the smallest and the largest size, which no enumeration
+    order changes.
     """
     h = complement(g)
-    walk = _walk_maximal_cliques(h)
+    walk = maximal_cliques(h)
     size = len(next(walk))
     if all(len(s) == size for s in walk):
         return WellCoveredReport(True, size, None)
     sets = maximal_cliques(h)
     smallest = largest = next(sets)
     for s in sets:
-        if len(s) < len(smallest):
+        size = len(s)
+        if size < len(smallest) or size == len(smallest) and s < smallest:
             smallest = s
-        elif len(s) > len(largest):
+        if size > len(largest) or size == len(largest) and s < largest:
             largest = s
     return WellCoveredReport(False, len(largest), (smallest, largest))
 
@@ -451,7 +440,7 @@ def _extends_locally(g: Graph, k: int, q: int, m: int) -> bool:
 
     The cliques of fewer than k vertices are walked depth-first, each
     reached once along its ascending order through its forward
-    neighbourhood, as :func:`_walk_maximal_cliques` does.  A frame [C, P]
+    neighbourhood, as :func:`maximal_cliques` does.  A frame [C, P]
     is one such clique's common neighbourhood and the forward candidates
     not yet taken; frame i holds a clique of i vertices, so the stack
     holds at most k frames.  A k-clique is checked where it is met and
@@ -508,15 +497,12 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
     checks the common neighbourhood of each (k+1)-subset of each maximal
     clique.  The number of maximal cliques containing a k-clique is the
     number of times it occurs as a k-subset of one, so condition 3 counts
-    those subsets.  Conditions 2 and 3 report the lexicographically
-    smallest offending clique, which no enumeration order changes, so the
-    maximal cliques come from the order-free walk of
-    :func:`_walk_maximal_cliques`.  Condition 1 reports the first
-    wrong-sized maximal clique in enumeration order: only when the walk
-    meets one does :func:`maximal_cliques` run, up to that clique.
+    those subsets.  Each condition reports the lexicographically smallest
+    offending clique, which no enumeration order changes: for condition 1
+    a maximal clique of the wrong size.
 
-    That pass reads the maximal cliques once and keeps none: each
-    clique's k-subsets go straight into the count.
+    That pass reads the maximal cliques of :func:`maximal_cliques` once
+    and keeps none: each clique's k-subsets go straight into the count.
     """
     _validate_params(k, q, m)
     if _extends_locally(g, k, q, m):
@@ -526,11 +512,10 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
 
     def k_subsets() -> Iterator[tuple[int, ...]]:
         # conditions 1 and 2 on each maximal clique, then its k-subsets
-        wrong_size = False
-        witness = None
-        for cl in _walk_maximal_cliques(g):
-            if len(cl) != q:
-                wrong_size = True
+        wrong_size = witness = None
+        for cl in maximal_cliques(g):
+            if len(cl) != q and (wrong_size is None or cl < wrong_size):
+                wrong_size = cl
             outside = -1
             for v in cl:
                 outside ^= 1 << v
@@ -548,8 +533,8 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
             # at m = 1 condition 3 holds: every clique lies in a maximal one
             if m > 1:
                 yield from combinations(cl, k)
-        if wrong_size:
-            violations.append((1, next(cl for cl in maximal_cliques(g) if len(cl) != q)))
+        if wrong_size is not None:
+            violations.append((1, wrong_size))
         if witness is not None:
             violations.append((2, witness))
 

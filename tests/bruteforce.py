@@ -7,14 +7,16 @@ the plan search tries every m in turn, and function-graph vertices are
 located through the combinatorial number system rather than the
 library's sorted colex index.  Keep these slow and obvious.
 
-The exceptions are the order references: a recursive Bron-Kerbosch that
-fixes the order in which maximal cliques are enumerated, and a clique
-extension check that counts the maximal cliques containing each clique
-with membership bitmasks.  The library routines must match them exactly,
-witnesses included.  Two more are written out from their statements: the
-clique-count closed form of a function graph, with the reason it holds, and
-``verify_on_graph``, the whole tail-order promise checked on a real graph
-with the library's enumerators.  ``exact_str_by_decimal`` prints through
+The exceptions are a recursive Bron-Kerbosch, which lists the maximal
+cliques of the 14-vertex property-test graphs where subset filtering is
+too slow, and a clique extension check that counts the maximal cliques
+containing each clique with membership bitmasks.  The library routines
+must match them exactly, witnesses included: each witness is a
+lexicographic minimum, so no enumeration order enters.  Two more are
+written out from their statements: the clique-count closed form of a
+function graph, with the reason it holds, and ``verify_on_graph``, the
+whole tail-order promise checked on a real graph with the library's
+enumerators.  ``exact_str_by_decimal`` prints through
 Decimal(int), which is quadratic at every size but has no digit limit.
 """
 
@@ -206,13 +208,13 @@ def cliques_of_size(g: Graph, j: int) -> set:
 
 def _bron_kerbosch_recursive(rows, clique, p, x):
     """Pivoting Bron-Kerbosch by recursion, pivot maximizing |P & N(u)|
-    over P|X with ties to the lowest index, candidates ascending."""
+    over P|X."""
     if p == 0 and x == 0:
         yield tuple(clique)
         return
     pivot = max(
         (u for u in range(len(rows)) if (p | x) >> u & 1),
-        key=lambda u: ((p & rows[u]).bit_count(), -u),
+        key=lambda u: (p & rows[u]).bit_count(),
     )
     for v in range(len(rows)):
         if not (p & ~rows[pivot]) >> v & 1:
@@ -224,62 +226,37 @@ def _bron_kerbosch_recursive(rows, clique, p, x):
         x |= 1 << v
 
 
-def maximal_cliques_in_order(g: Graph) -> list:
-    """Maximal cliques in the library's enumeration order: components by
-    smallest vertex, each relabeled compactly and run through the
-    recursive Bron-Kerbosch."""
-    if g.n == 0:
-        return [()]
-    out = []
-    seen = set()
-    for start in range(g.n):
-        if start in seen:
-            continue
-        comp, frontier = {start}, [start]
-        while frontier:
-            u = frontier.pop()
-            for w in g.neighbors(u):
-                if w not in comp:
-                    comp.add(w)
-                    frontier.append(w)
-        seen |= comp
-        verts = sorted(comp)
-        local_rows = [
-            sum(1 << i for i, w in enumerate(verts) if g.has_edge(v, w)) for v in verts
-        ]
-        for cl in _bron_kerbosch_recursive(local_rows, [], (1 << len(verts)) - 1, 0):
-            out.append(tuple(sorted(verts[i] for i in cl)))
-    return out
+def maximal_cliques_by_recursion(g: Graph) -> list:
+    """Every maximal clique, as a sorted tuple, from the recursive
+    Bron-Kerbosch."""
+    return [
+        tuple(sorted(cl))
+        for cl in _bron_kerbosch_recursive(g.rows, [], (1 << g.n) - 1, 0)
+    ]
 
 
 def well_covered_report(g: Graph) -> WellCoveredReport:
     """Well-coveredness from the sizes of every maximal independent set,
-    found by subset filtering.  A witness pair is the first smallest and
-    the first largest set in the library's order: the maximal cliques of
-    the complement, listed by the order reference."""
-    sizes = {len(s) for s in maximal_independent_sets(g)}
+    found by subset filtering.  A witness pair is the lexicographically
+    smallest set of the smallest size and of the largest size."""
+    sets = maximal_independent_sets(g)
+    sizes = {len(s) for s in sets}
     if len(sizes) == 1:
         return WellCoveredReport(True, sizes.pop(), None)
-    co = Graph.from_edges(
-        g.n, [(u, v) for u, v in combinations(range(g.n), 2) if not g.has_edge(u, v)]
-    )
-    ordered = maximal_cliques_in_order(co)
-    smallest = next(s for s in ordered if len(s) == min(sizes))
-    largest = next(s for s in ordered if len(s) == max(sizes))
+    smallest = min(s for s in sets if len(s) == min(sizes))
+    largest = min(s for s in sets if len(s) == max(sizes))
     return WellCoveredReport(False, max(sizes), (smallest, largest))
 
 
 def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionReport:
     """Clique extension check by membership bitmasks: bit c of
-    membership[v] is set iff maximal clique c contains v.  Walks the
-    (k+1)- and k-cliques in lexicographic order and reports the first
-    offender of each condition."""
-    cliques = maximal_cliques_in_order(g)
+    membership[v] is set iff maximal clique c contains v.  Each condition
+    reports its lexicographically smallest offender."""
+    cliques = maximal_cliques_by_recursion(g)
     violations = []
-    for cl in cliques:
-        if len(cl) != q:
-            violations.append((1, cl))
-            break
+    wrong_size = [cl for cl in cliques if len(cl) != q]
+    if wrong_size:
+        violations.append((1, min(wrong_size)))
     membership = [0] * g.n
     for ci, cl in enumerate(cliques):
         for v in cl:

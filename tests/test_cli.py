@@ -542,7 +542,7 @@ def check_pin_graphs():
 
 # sha256 of the concatenated stdout of every check, in order, json then
 # text, followed by the label sidecar of each construct
-CHECK_STDOUT_SHA256 = "0871b467db7196c657b13f9bc42effdabab3ea5c4bba76f49ebf25aab51e6a91"
+CHECK_STDOUT_SHA256 = "9e02ab5290d3485a94f46c5d127a70547ee4b9272cbc9bc9663a181e9b7e9fec"
 
 
 def test_check_stdout_pinned(tmp_path, capsys):

@@ -9,18 +9,19 @@ it, predicted counts and deviations of large symbolic plans against the
 closed form and Fraction arithmetic, the integer ratio-chain check, the
 chain's increments, the certification floor and the certificate's verdict
 against their Fraction definitions, materialized plans of mixed k and m
-against their predicted counts, and the enumeration order and clique
-extension witnesses against the recursive references on random graphs.  The
-order-free maximal clique walk, well-coveredness and the clique extension
-check are also compared with their references on joins and disjoint
-unions of two random graphs, and the independence polynomial on nested,
-random and sparse graphs (paths, cycles, and joins and unions of sparse
-random graphs) with no memo slot, three slots and the default.  The
-whole clique extension report is compared with its reference on
-relabelled function graphs with at most one pair toggled, some beside a
-second function graph or a lone vertex, at their own parameters and one
-step off them: random graphs almost never have the property, these
-reach its accepting local rule and each way that rule fails.
+against their predicted counts, and the clique extension witnesses
+against the recursive reference on random graphs.  The maximal clique
+walk, well-coveredness and the clique extension check are also compared
+with their references on joins and disjoint unions of two random graphs,
+where a walk in reverse changes no report, and the independence
+polynomial on nested, random and sparse graphs (paths, cycles, and joins
+and unions of sparse random graphs) with no memo slot, three slots and
+the default.  The whole clique extension report is compared with its
+reference on relabelled function graphs with at most one pair toggled,
+some beside a second function graph or a lone vertex, at their own
+parameters and one step off them: random graphs almost never have the
+property, these reach its accepting local rule and each way that rule
+fails.
 Relabelling a graph changes none of the answers read off it."""
 
 from fractions import Fraction
@@ -128,12 +129,6 @@ def test_graph6_roundtrip(g):
     assert from_graph6(encoded) == g
 
 
-@settings(max_examples=150, deadline=None)
-@given(random_graphs(14))
-def test_maximal_cliques_in_reference_order(g):
-    assert list(maximal_cliques(g)) == bruteforce.maximal_cliques_in_order(g)
-
-
 @st.composite
 def walk_graphs(draw) -> Graph:
     """A random graph on at most 14 vertices, or a join or disjoint union of
@@ -149,9 +144,9 @@ def walk_graphs(draw) -> Graph:
 @settings(max_examples=200, deadline=None)
 @given(walk_graphs())
 def test_walk_yields_each_maximal_clique_once(g):
-    walked = list(enumeration._walk_maximal_cliques(g))
+    walked = list(maximal_cliques(g))
     assert len(walked) == len(set(walked))
-    assert set(walked) == set(maximal_cliques(g))
+    assert set(walked) == set(bruteforce.maximal_cliques_by_recursion(g))
 
 
 @settings(max_examples=150, deadline=None)
@@ -165,6 +160,20 @@ def test_is_well_covered_matches_subset_reference(g):
 def test_clique_extension_on_walk_graphs_matches_reference(g, k, dq, m):
     expected = bruteforce.check_clique_extension(g, k, k + dq, m)
     assert check_clique_extension(g, k, k + dq, m) == expected
+
+
+# Every witness is a lexicographic minimum, so a walk that lists the same
+# maximal cliques in reverse changes no report.
+@settings(max_examples=150, deadline=None)
+@given(walk_graphs(), st.integers(0, 3), st.integers(1, 3), st.integers(1, 3))
+def test_reports_do_not_depend_on_walk_order(g, k, dq, m):
+    def reports():
+        return is_well_covered(g), check_clique_extension(g, k, k + dq, m)
+
+    expected = reports()
+    walk = enumeration.maximal_cliques
+    with mock.patch.object(enumeration, "maximal_cliques", lambda h: reversed(list(walk(h)))):
+        assert reports() == expected
 
 
 # Most random graphs fail some condition, so the witnesses get compared.
