@@ -9,7 +9,8 @@ counts and the scale T are cleared to exact integers, the per-index
 deviations are exact rationals, and m is grown from a proven floor until
 every deviation is below the requested epsilon.  A ``Plan`` is the join
 and its exact counts; an ``EpsilonCertificate`` measures a plan against
-a target.
+a target.  ``materialize`` forms the join, and ``plan_graph6`` writes its
+graph6 line straight from the plan.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .function_graph import (
     vertex_count,
 )
 from .graph import Graph, complement, join
+from .graph6 import complement_graph6
 from .polynomial import exact_str
 
 DEFAULT_M_CAP = 1 << 20
@@ -303,6 +305,17 @@ def build_plan(
     return found
 
 
+def _vertices_within(plan: Plan, vertex_budget: int) -> int:
+    """The plan's vertex total, refused when it is over ``vertex_budget``."""
+    total = plan.vertex_total()
+    if total > vertex_budget:
+        raise BudgetExceededError(
+            f"materialized plan needs {size_str(total)} vertices, "
+            f"over budget {vertex_budget}"
+        )
+    return total
+
+
 def materialize(
     plan: Plan, *, vertex_budget: int = DEFAULT_VERTEX_BUDGET
 ) -> Graph:
@@ -312,12 +325,7 @@ def materialize(
     (a join of well-covered graphs of equal independence number), and its
     independence counts equal ``plan.predicted`` exactly.
     """
-    total = plan.vertex_total()
-    if total > vertex_budget:
-        raise BudgetExceededError(
-            f"materialized plan needs {size_str(total)} vertices, "
-            f"over budget {vertex_budget}"
-        )
+    _vertices_within(plan, vertex_budget)
     parts: list[Graph] = []
     for c in plan.components:
         g = complement(
@@ -325,3 +333,28 @@ def materialize(
         )
         parts.extend([g] * c.copies)
     return join(parts)
+
+
+def plan_graph6(plan: Plan, *, vertex_budget: int) -> bytes:
+    """``to_graph6(materialize(plan))``, without forming the join.
+
+    A join of complements is the complement of the disjoint union, so the
+    only non-edges of the certificate are the edges of its copies of
+    function graphs.  Each component's function graph is built once and
+    its edges are listed at each copy's offset; the work is one step per
+    non-edge, not per pair of vertices.  Refuses a plan over
+    ``vertex_budget`` as ``materialize`` does.
+    """
+    n = _vertices_within(plan, vertex_budget)
+
+    def union_edges():
+        offset = 0
+        for c in plan.components:
+            g = build_function_graph(c.k, plan.q, c.m, vertex_budget=vertex_budget)
+            edges = list(g.edges())
+            for _ in range(c.copies):
+                for u, v in edges:
+                    yield offset + u, offset + v
+                offset += g.n
+
+    return complement_graph6(n, union_edges())

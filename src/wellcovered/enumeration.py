@@ -107,15 +107,16 @@ def maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
     neighbourhoods).  A child R + v with empty C is maximal; one with
     empty P is not, nor is any clique below it.  No clique below a child
     is maximal either when a vertex of its C - P is adjacent to all of
-    its P.  A child whose first vertex of P is adjacent to more than half
-    of the rest has its P counted exactly: a clique P gives the one
-    maximal clique R | P, and a P with more edges than non-edges goes to
-    :func:`_bron_kerbosch` seeded with (R, P, C - P).  Every other child
-    is pushed.  Frames are pushed one level at a time, so the stack holds
-    at most one per clique vertex.  The walk suits a sparse graph: a g
-    with at least as many edges as non-edges goes to :func:`_bron_kerbosch`
-    whole, and so does the graph on no vertices, whose one maximal clique
-    is the empty one.
+    its P.  Otherwise a child whose P is one vertex w gives the one
+    maximal clique R + v + w, and one whose first vertex of P is adjacent
+    to more than half of the rest has its P counted exactly: a clique P
+    gives the one maximal clique R | P, and a P with more edges than
+    non-edges goes to :func:`_bron_kerbosch` seeded with (R, P, C - P).
+    Every other child is pushed.  Frames are pushed one level at a time,
+    so the stack holds at most one per clique vertex.  The walk suits a
+    sparse graph: a g with at least as many edges as non-edges goes to
+    :func:`_bron_kerbosch` whole, and so does the graph on no vertices,
+    whose one maximal clique is the empty one.
     """
     rows = g.rows
     full = (1 << g.n) - 1
@@ -151,8 +152,12 @@ def maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
             back &= rows[low.bit_length() - 1]
         if back:
             continue
-        r = (*r, v)
         size = child_p.bit_count()
+        if size == 1:
+            # one forward candidate w, and no vertex of C - P sees it
+            yield (*r, v, child_p.bit_length() - 1)
+            continue
+        r = (*r, v)
         first = (child_p & -child_p).bit_length() - 1
         if 2 * (rows[first] & child_p).bit_count() > size - 1:
             degree_sum = 0
@@ -221,18 +226,18 @@ def independence_polynomial(g: Graph) -> Polynomial:
     coefficients.  Otherwise a pass over T's vertices v, ascending, lists
     the dense rule's terms ``later(v) - N(v)``, where later(v) are the
     vertices after v, and stops once four times the non-edges they count
-    reaches |T|(|T|-1).  T is split into components unless that pass
-    proves it connected: a dense T with fewer than |T| - 1 non-edges is.
-    Then T takes the first of three rules that applies:
+    reaches |T|(|T|-1).  Then T takes the first of three rules that
+    applies:
 
+    - dense (four times its non-edges below |T|(|T|-1)): the first-vertex
+      expansion ``I(T) = 1 + x * sum_v I(T[later(v) - N(v)])``, which is
+      exact whether or not T is connected, so a dense T is never split
+      into components.  Each term is a small non-neighbourhood; on a join
+      it lies inside the part of v, so joins split without being searched
+      for, and on the complement of a sparse graph the terms list that
+      graph's cliques along their forward neighbourhoods;
     - disconnected: the product of its components, the singleton
       components folded into one ``(1 + x)^s`` factor;
-    - dense (four times its non-edges below |T|(|T|-1)): the first-vertex
-      expansion ``I(T) = 1 + x * sum_v I(T[later(v) - N(v)])``.  Each term
-      is a small non-neighbourhood; on a join it lies inside the part of
-      v, so joins split without being searched for, and on the complement
-      of a sparse graph the terms list that graph's cliques along their
-      forward neighbourhoods;
     - otherwise ``I(T) = I(T - v) + x * I(T - N[v])`` on the
       maximum-degree vertex v, ties to the lowest index, found by the
       pivot scan that Bron-Kerbosch uses too.
@@ -244,7 +249,7 @@ def independence_polynomial(g: Graph) -> Polynomial:
     node into a plain list of its own; once they are filled, a finishing
     frame multiplies the lists.  A dict local to the call memoizes the
     coefficients of up to ``_MEMO_ENTRIES`` vertex masks, so each is found
-    once per call.  A connected node with a memo slot left also collects
+    once per call.  Any other node with a memo slot left also collects
     into a list of its own, which its finishing frame memoizes and adds
     into its parent's; a node without a slot adds in place.  The only
     Polynomial a call builds is its result.
@@ -299,8 +304,7 @@ def independence_polynomial(g: Graph) -> Polynomial:
             limit = size * (size - 1)
             terms, non_edges = _forward_terms(t, rows, limit)
             dense = 4 * non_edges < limit
-            # a T with fewer than |T| - 1 non-edges is connected
-            comps = [t] if dense and non_edges < size - 1 else _components(t, rows)
+            comps = [t] if dense else _components(t, rows)
             if len(comps) > 1:
                 big = [c for c in comps if c & (c - 1)]
                 singles = len(comps) - len(big)

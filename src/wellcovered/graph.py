@@ -106,7 +106,9 @@ def disjoint_copies(g: Graph, c: int) -> Graph:
 def complement(g: Graph) -> Graph:
     """Edge complement on the same vertex set."""
     full = (1 << g.n) - 1
-    rows = [full & ~r & ~(1 << v) for v, r in enumerate(g.rows)]
+    # r has no bit v and none past n: r ^ full sets every bit r lacks,
+    # v among them, and the last xor clears v
+    rows = [r ^ full ^ (1 << v) for v, r in enumerate(g.rows)]
     return Graph(g.n, rows)
 
 

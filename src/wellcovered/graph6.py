@@ -20,6 +20,8 @@ places the bits by one of two routes, chosen from the input alone:
   end; padding bits are never read as pairs.  Encoding starts from an
   all-``?`` or all-``~`` body with clear padding bits and flips one bit
   per minority pair, read off the low v bits of each row v.
+  :func:`complement_graph6` takes this route with the non-edges given
+  as a list, so a dense graph is written without its rows.
 * **Whole-buffer route**, for everything else.  Its Python-level loops are
   per column or per row, never per bit or per data byte.  The bit string
   is an ASCII ``b"0"``/``b"1"`` buffer with one character per bit.  Its
@@ -51,6 +53,7 @@ complements have at least 2.1% (11% of the bytes).
 from __future__ import annotations
 
 from math import isqrt
+from typing import Iterable, Iterator
 
 from .graph import Graph
 
@@ -112,10 +115,16 @@ def to_graph6(g: Graph) -> bytes:
     nbits = n * (n - 1) // 2
     edges = g.edge_count()
     if min(edges, nbits - edges) * _ENCODE_MINORITY_DIVISOR <= nbits:
-        body = _body_minority(g.rows, nbits, dense=2 * edges > nbits)
-    else:
-        body = _body_whole_buffer(g.rows)
-    return _encode_n(n) + body
+        dense = 2 * edges > nbits
+        return _minority_line(n, dense, _minority_positions(g.rows, dense))
+    return _encode_n(n) + _body_whole_buffer(g.rows)
+
+
+def complement_graph6(n: int, edges: Iterable[tuple[int, int]]) -> bytes:
+    """graph6 of the complement of the graph on n vertices whose edges are
+    ``edges``, each a pair (u, v) with u < v listed once, without forming
+    adjacency rows: the work is one step per listed edge."""
+    return _minority_line(n, True, (v * (v - 1) // 2 + u for u, v in edges))
 
 
 def _body_whole_buffer(rows) -> bytes:
@@ -131,14 +140,9 @@ def _body_whole_buffer(rows) -> bytes:
     return body.to_bytes(len(bits) // 6, "big")
 
 
-def _body_minority(rows, nbits: int, dense: bool) -> bytes:
-    # Start from the body of the edgeless (all "?") or complete (all "~",
-    # padding bits clear) graph and flip one bit per non-edge or edge.
-    nbytes = (nbits + 5) // 6
-    body = bytearray([126 if dense else 63]) * nbytes
-    if dense and body:
-        body[-1] -= (1 << (6 * nbytes - nbits)) - 1
-    sign = -1 if dense else 1
+def _minority_positions(rows, dense: bool) -> Iterator[int]:
+    # The bit position of every edge (or, dense, non-edge), read off the
+    # low v bits of each row v.
     for v in range(1, len(rows)):
         mask = (1 << v) - 1
         low = rows[v] & mask
@@ -148,9 +152,25 @@ def _body_minority(rows, nbits: int, dense: bool) -> bytes:
         while low:
             bit = low & -low
             low ^= bit
-            pos = base + bit.bit_length() - 1
-            body[pos // 6] += sign << (5 - pos % 6)
-    return bytes(body)
+            yield base + bit.bit_length() - 1
+
+
+def _minority_line(n: int, dense: bool, positions: Iterable[int]) -> bytes:
+    # Start from the line of the edgeless (all "?") or complete (all "~",
+    # padding bits clear) graph, header included, and flip one bit per
+    # position.  One buffer holds the whole line, so it is copied once.
+    header = _encode_n(n)
+    nbits = n * (n - 1) // 2
+    nbytes = (nbits + 5) // 6
+    line = bytearray([126 if dense else 63]) * (len(header) + nbytes)
+    line[: len(header)] = header
+    if dense and nbytes:
+        line[-1] -= (1 << (6 * nbytes - nbits)) - 1
+    sign = -1 if dense else 1
+    start = len(header)
+    for pos in positions:
+        line[start + pos // 6] += sign << (5 - pos % 6)
+    return bytes(line)
 
 
 def from_graph6(data: bytes | str) -> Graph:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import reprlib
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import comb
 from typing import Callable, Iterable, Optional
@@ -26,10 +27,13 @@ from .certificate import (
     TargetSequence,
     build_plan,
     materialize,
+    plan_graph6,
 )
 from .function_graph import DEFAULT_VERTEX_BUDGET
 from .graph import Graph
-from .graph6 import to_graph6
+# unused here (the certificate's line comes from plan_graph6), but
+# perfbench/spans.py wraps tailorder.to_graph6 by name
+from .graph6 import to_graph6  # noqa: F401
 from .polynomial import exact_str
 
 
@@ -150,19 +154,25 @@ class RealizationReport:
     predicted counts: ``ordering_verified`` says they strictly increase in
     prescribed rank order.  It must be True for every valid permutation;
     False would signal an internal failure, not a user error.
+    ``materialized`` says the plan fits the vertex budget ``realize`` was
+    given; the JSON then embeds the certificate's graph6 line, written
+    from the plan, and ``graph`` builds the certificate on first use.
     """
 
     permutation: TailPermutation
     certificate: EpsilonCertificate
-    graph: Optional[Graph] = None
+    materialized: bool
 
     @property
     def plan(self) -> Plan:
         return self.certificate.plan
 
-    @property
-    def materialized(self) -> bool:
-        return self.graph is not None
+    @cached_property
+    def graph(self) -> Optional[Graph]:
+        """The certificate graph, or None when the plan is over budget."""
+        if not self.materialized:
+            return None
+        return materialize(self.plan, vertex_budget=self.plan.vertex_total())
 
     @property
     def ordering_verified(self) -> bool:
@@ -184,8 +194,9 @@ class RealizationReport:
             "counts": [plan["predicted"][t - 1] for t in ranked],
             "materialized": self.materialized,
         }
-        if self.graph is not None:
-            out["graph6"] = to_graph6(self.graph).decode("ascii")
+        if self.materialized:
+            line = plan_graph6(self.plan, vertex_budget=self.plan.vertex_total())
+            out["graph6"] = line.decode("ascii")
         return out
 
 
@@ -197,13 +208,11 @@ def realize(
 ) -> RealizationReport:
     """Target, epsilon, certified plan, and the exact ordering check.
 
-    Materialization is attempted only when the plan fits ``vertex_budget``;
-    otherwise the report ships the symbolic plan alone.
+    Nothing is materialized here: the report is marked materialized when
+    the plan fits ``vertex_budget``, and otherwise ships the symbolic plan
+    alone.
     """
     target = target_from_permutation(p)
     certificate = build_plan(target, TAIL_EPSILON, m_cap=m_cap)
-    plan = certificate.plan
-    graph = None
-    if plan.vertex_total() <= vertex_budget:
-        graph = materialize(plan, vertex_budget=vertex_budget)
-    return RealizationReport(p, certificate, graph)
+    fits = certificate.plan.vertex_total() <= vertex_budget
+    return RealizationReport(p, certificate, fits)

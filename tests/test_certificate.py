@@ -15,8 +15,9 @@ from wellcovered import (
     is_well_covered,
     materialize,
     plan_at_m,
+    to_graph6,
 )
-from wellcovered.certificate import _certification_floor
+from wellcovered.certificate import _certification_floor, plan_graph6
 from wellcovered.enumeration import check_ratio_chain
 
 from bruteforce import clique_count_closed_form
@@ -275,6 +276,11 @@ def test_materialize_budget():
     with pytest.raises(BudgetExceededError) as err:
         materialize(plan, vertex_budget=100)
     assert "1066" in str(err.value)
+    # the line written from the plan is refused alike, and fits at 1066
+    with pytest.raises(BudgetExceededError) as refused:
+        plan_graph6(plan, vertex_budget=100)
+    assert str(refused.value) == str(err.value)
+    assert plan_graph6(plan, vertex_budget=1066) == to_graph6(materialize(plan))
 
 
 def test_plan_json_schema():

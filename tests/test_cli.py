@@ -15,10 +15,13 @@ import wellcovered.cli
 import wellcovered.tailorder
 from wellcovered import (
     Graph,
+    TailPermutation,
     build_function_graph,
     complement,
     complete,
     from_graph6,
+    materialize,
+    realize,
     tail_indices,
     to_graph6,
 )
@@ -438,26 +441,34 @@ def test_realize_q4_symbolic(capsys):
 
 
 def test_realize_q2_with_graph_output(tmp_path, capsys, monkeypatch):
+    # the certificate is encoded once, from its plan: no graph is formed
+    # and to_graph6 is not called
     calls = []
+    real = wellcovered.tailorder.plan_graph6
 
-    def spy(g):
-        calls.append(g.n)
-        return to_graph6(g)
+    def spy(plan, **kwargs):
+        calls.append(plan.vertex_total())
+        return real(plan, **kwargs)
 
-    monkeypatch.setattr(wellcovered.cli, "to_graph6", spy)
-    monkeypatch.setattr(wellcovered.tailorder, "to_graph6", spy)
+    def refused(g, *args, **kwargs):
+        calls.append("graph formed or encoded")
+
+    monkeypatch.setattr(wellcovered.tailorder, "plan_graph6", spy)
+    for module, name in ((wellcovered.cli, "to_graph6"), (wellcovered.tailorder, "to_graph6"),
+                         (wellcovered.tailorder, "materialize"), (wellcovered.certificate, "join")):
+        monkeypatch.setattr(module, name, refused)
     out_path = tmp_path / "g.g6"
     code, out, _ = run(
         capsys, "realize", "-q", "2", "--pi", "2,1", "--out", str(out_path)
     )
     assert code == 0
-    assert calls == [1066]  # the certificate is encoded once
+    assert calls == [1066]
+    monkeypatch.undo()
     data = json.loads(out)
     assert data["materialized"] is True
     assert out_path.read_bytes() == data["graph6"].encode("ascii") + b"\n"
-    g = from_graph6(out_path.read_bytes())
-    assert g.n == 1066
-    assert data["graph6"] == to_graph6(g).decode("ascii")
+    plan = realize(TailPermutation.from_image_list(2, (2, 1))).plan
+    assert data["graph6"] == to_graph6(materialize(plan)).decode("ascii")
 
 
 def test_realize_out_over_budget_is_refused(tmp_path, capsys):

@@ -124,7 +124,10 @@ def test_both_routes_match_bitwise_oracle(dense):
         header = graph6_header(n)
         body = line[len(header) :]
         nbits = n * (n - 1) // 2
-        assert header + graph6._body_minority(g.rows, nbits, dense) == line
+        positions = graph6._minority_positions(g.rows, dense)
+        assert graph6._minority_line(n, dense, positions) == line
+        if dense:
+            assert graph6.complement_graph6(n, complement(g).edges()) == line
         assert header + graph6._body_whole_buffer(g.rows) == line
         assert graph6._rows_minority(n, body, nbits, dense) == list(g.rows)
         assert graph6._rows_whole_buffer(n, body) == list(g.rows)
@@ -171,7 +174,7 @@ def test_route_selection(monkeypatch, q2_certificate):
         patch.setattr(graph6, "_rows_whole_buffer", refuse)
         assert from_graph6(to_graph6(q2_certificate)) == q2_certificate
     with monkeypatch.context() as patch:
-        patch.setattr(graph6, "_body_minority", refuse)
+        patch.setattr(graph6, "_minority_line", refuse)
         patch.setattr(graph6, "_rows_minority", refuse)
         # the function-grid triples of the benchmark
         for k, q, m in ((1, 3, 14), (1, 4, 6), (1, 5, 3), (2, 4, 4), (3, 5, 2)):

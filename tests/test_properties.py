@@ -9,7 +9,9 @@ it, predicted counts and deviations of large symbolic plans against the
 closed form and Fraction arithmetic, the integer ratio-chain check, the
 chain's increments, the certification floor and the certificate's verdict
 against their Fraction definitions, materialized plans of mixed k and m
-against their predicted counts, and the clique extension witnesses
+against their predicted counts and their graph6 lines against the ones
+written straight from the plan, the CLI's JSON writer against
+``json.dumps(indent=2)``, and the clique extension witnesses
 against the recursive reference on random graphs.  The maximal clique
 walk, well-coveredness and the clique extension check are also compared
 with their references on joins and disjoint unions of two random graphs,
@@ -24,6 +26,7 @@ property, these reach its accepting local rule and each way that rule
 fails.
 Relabelling a graph changes none of the answers read off it."""
 
+import json
 from fractions import Fraction
 from math import comb, floor
 from random import Random
@@ -56,8 +59,8 @@ from wellcovered import (
     to_graph6,
     vertex_count,
 )
-from wellcovered import enumeration
-from wellcovered.certificate import _certification_floor
+from wellcovered import cli, enumeration
+from wellcovered.certificate import _certification_floor, plan_graph6
 from wellcovered.enumeration import check_ratio_chain
 
 import bruteforce
@@ -440,19 +443,19 @@ def test_integer_ratio_chain_matches_fractions(values, as_chain):
 
 
 @st.composite
-def mixed_plans(draw) -> Plan:
+def mixed_plans(draw, copies: int = 3, total: int = 60) -> Plan:
     """Joins of 1-3 components whose k and m may differ, q <= 4: each leaf
-    has at most 24 vertices, each component at most 3 copies, and the
-    join at most 60 vertices."""
+    has at most 24 vertices, each component at most ``copies`` copies, and
+    the join at most ``total`` vertices."""
     q = draw(st.integers(1, 4))
     leaves = [(k, m) for k in range(q) for m in range(1, 25) if vertex_count(k, q, m) <= 24]
     component = st.builds(
         lambda leaf, copies: PlanComponent(*leaf, copies),
         st.sampled_from(leaves),
-        st.integers(1, 3),
+        st.integers(1, copies),
     )
     components = st.lists(component, min_size=1, max_size=3).map(tuple)
-    return draw(components.map(lambda cs: Plan(q, cs)).filter(lambda p: p.vertex_total() <= 60))
+    return draw(components.map(lambda cs: Plan(q, cs)).filter(lambda p: p.vertex_total() <= total))
 
 
 @settings(max_examples=100, deadline=None)
@@ -463,3 +466,57 @@ def test_materialized_mixed_plan_matches_prediction(plan):
     assert tuple(independence_polynomial(g)) == (1, *plan.predicted)
     report = is_well_covered(g)
     assert report.is_well_covered and report.alpha == plan.q
+
+
+# up to 30 copies a component and 400 vertices, past the one-byte graph6
+# header at 62 vertices
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(mixed_plans(), mixed_plans(copies=30, total=400)))
+def test_plan_graph6_is_the_materialized_line(plan):
+    line = plan_graph6(plan, vertex_budget=plan.vertex_total())
+    assert line == to_graph6(materialize(plan))
+
+
+# printable ASCII but for '"' and '\\', which a long string copies unescaped
+PLAIN = "".join(chr(c) for c in range(32, 127) if chr(c) not in '"\\')
+
+
+@st.composite
+def long_strings(draw) -> str:
+    """Strings about as long as the writer's cut-over, some with one
+    character that needs escaping."""
+    s = draw(st.text(st.sampled_from(PLAIN), min_size=cli._PLAIN_FROM - 2, max_size=300))
+    odd = draw(st.sampled_from(["", '"', "\\", "\n", "\x00", "\x7f", "\u00e9", "\U0001f600"]))
+    at = draw(st.integers(0, len(s)))
+    return s[:at] + odd + s[at:]
+
+
+json_values = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.integers(-(10**400), 10**400),
+        st.text(),
+        long_strings(),
+    ),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.one_of(st.text(), long_strings()), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2)
+
+
+def test_json_writer_refuses_other_types():
+    # json.dumps would write a float and an int key; the CLI prints neither
+    for value in (1.5, {1: "a"}, [{"a": {1, 2}}]):
+        with pytest.raises(TypeError):
+            cli._json_text(value)
