@@ -18,7 +18,7 @@ from numbers import Rational
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
 
 from .function_graph import _validate_params
-from .graph import Graph, _bits, complement
+from .graph import CoComponents, Graph, _bits, complement
 from .polynomial import Polynomial, _convolve
 
 # -- maximal clique / independent set enumeration ----------------------
@@ -218,8 +218,11 @@ def _forward_terms(t: int, rows, limit: int) -> tuple[list[int], int]:
     return terms, non_edges
 
 
-def independence_polynomial(g: Graph) -> Polynomial:
+def independence_polynomial(g: Graph | CoComponents) -> Polynomial:
     """Exact independence polynomial.
+
+    Given as its co-components, g is a join: I(g) = 1 + sum (I(part) - 1),
+    each distinct part solved once.
 
     One loop over one explicit stack; nothing recurses.  Every node T of
     at least three vertices follows one rule.  A memo hit adds the stored
@@ -265,6 +268,14 @@ def independence_polynomial(g: Graph) -> Polynomial:
       0.26 s (n = 50, p = 0.15), 1.2 s (60, 0.08) and 7.4 s (80, 0.05),
       against 0.13, 0.27 and 2.0 s for its two parts alone (best of 5).
     """
+    if isinstance(g, CoComponents):
+        out = [1]
+        for part, places in g.parts:
+            coeffs = independence_polynomial(part).coeffs
+            out += [0] * (len(coeffs) - len(out))
+            for i in range(1, len(coeffs)):
+                out[i] += len(places) * coeffs[i]
+        return Polynomial(out)
     rows = g.rows
     memo: dict[int, list[int]] = {}
     result = [0] * (g.n + 2)  # a zero always ends the coefficients
@@ -353,7 +364,7 @@ class WellCoveredReport(NamedTuple):
     witness: Optional[tuple[tuple[int, ...], tuple[int, ...]]]
 
 
-def is_well_covered(g: Graph) -> WellCoveredReport:
+def is_well_covered(g: Graph | CoComponents) -> WellCoveredReport:
     """Whether every maximal independent set of g has the same size.
 
     The maximal cliques of the complement are walked until one of a second
@@ -361,13 +372,35 @@ def is_well_covered(g: Graph) -> WellCoveredReport:
     other walks a second time for its witness pair, the lexicographic
     minima of the smallest and the largest size, which no enumeration
     order changes.
+
+    Given as its co-components, g is a join, whose maximal independent
+    sets are its parts': it is well-covered iff they all are, with one
+    alpha, and its witness pair is read off theirs.
     """
-    h = complement(g)
-    walk = maximal_cliques(h)
-    size = len(next(walk))
-    if all(len(s) == size for s in walk):
-        return WellCoveredReport(True, size, None)
-    sets = maximal_cliques(h)
+    if isinstance(g, CoComponents):
+        reports = [is_well_covered(part) for part, _ in g.parts]
+        alpha = max((r.alpha for r in reports), default=0)
+        if all(r.is_well_covered and r.alpha == alpha for r in reports):
+            return WellCoveredReport(True, alpha, None)
+        smallest, largest = _extremes(
+            tuple(vertices[v] for v in s)
+            for (part, places), r in zip(g.parts, reports)
+            for s in r.witness or _extremes(maximal_independent_sets(part))
+            for vertices in places
+        )
+    else:
+        h = complement(g)
+        walk = maximal_cliques(h)
+        size = len(next(walk))
+        if all(len(s) == size for s in walk):
+            return WellCoveredReport(True, size, None)
+        smallest, largest = _extremes(maximal_cliques(h))
+    return WellCoveredReport(False, len(largest), (smallest, largest))
+
+
+def _extremes(sets: Iterator[tuple[int, ...]]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The lexicographically smallest set of the smallest size and of the
+    largest size among ``sets``, sorted tuples met in any order."""
     smallest = largest = next(sets)
     for s in sets:
         size = len(s)
@@ -375,7 +408,7 @@ def is_well_covered(g: Graph) -> WellCoveredReport:
             smallest = s
         if size > len(largest) or size == len(largest) and s < largest:
             largest = s
-    return WellCoveredReport(False, len(largest), (smallest, largest))
+    return smallest, largest
 
 
 # -- clique extension property ------------------------------------------

@@ -9,7 +9,7 @@ for every enumeration routine downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -130,3 +130,55 @@ def join(parts: Sequence[Graph]) -> Graph:
         offset += p.n
     return Graph(n, rows)
 
+
+class CoComponents(NamedTuple):
+    """A graph as the join of its co-components, the components of its
+    complement.  ``parts`` pairs each distinct one, a Graph on 0..s-1, with
+    the sorted vertex tuples of its copies, local vertex i being the i-th
+    of each tuple."""
+
+    n: int
+    parts: tuple[tuple[Graph, tuple[tuple[int, ...], ...]], ...]
+
+
+def co_components(n: int, non_edges: list[tuple[int, int]]) -> CoComponents:
+    """The co-components of the graph on n vertices whose non-edges are the
+    pairs u < v of ``non_edges``, by union-find over them: no row of the
+    graph is formed, and each distinct part forms its own once."""
+    parent = list(range(n))
+    for u, v in non_edges:
+        u = parent[u]
+        while u != parent[u]:
+            parent[u] = u = parent[parent[u]]
+        v = parent[v]
+        while v != parent[v]:
+            parent[v] = v = parent[parent[v]]
+        # the root stays the smallest vertex of its tree
+        if u < v:
+            parent[v] = u
+        else:
+            parent[u] = v
+    members: list = [None] * n  # a root's vertices, ascending
+    local = [0] * n  # a vertex's index in its part
+    for v in range(n):
+        # parent[v] <= v, and every vertex below v already points at its root
+        parent[v] = root = parent[parent[v]]
+        if root == v:
+            members[v] = [v]
+        else:
+            local[v] = len(members[root])
+            members[root].append(v)
+    holes = [0] * n  # a vertex's non-neighbours, as local bits
+    for u, v in non_edges:
+        holes[u] |= 1 << local[v]
+        holes[v] |= 1 << local[u]
+    parts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for vertices in members:
+        if vertices is not None:
+            vertices = tuple(vertices)
+            parts.setdefault(tuple(map(holes.__getitem__, vertices)), []).append(vertices)
+    out = []
+    for h, places in parts.items():
+        full = (1 << len(h)) - 1
+        out.append((Graph(len(h), [r ^ full ^ (1 << i) for i, r in enumerate(h)]), tuple(places)))
+    return CoComponents(n, tuple(out))

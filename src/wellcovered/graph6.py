@@ -14,10 +14,11 @@ places the bits by one of two routes, chosen from the input alone:
   graphs.  Only the minority entries (the edges of a sparse graph, the
   non-edges of a dense one) are visited, one Python step each.  Decoding
   finds the data bytes that are not ``?`` (sparse) or not ``~`` (dense)
-  with ``bytes.find`` on a translated copy of the body, maps each minority
-  bit position p to (u, v) through v = (1 + isqrt(8p + 1)) // 2, ORs the
-  pairs into the rows and, for a dense graph, complements the rows at the
-  end; padding bits are never read as pairs.  Encoding starts from an
+  with ``bytes.find`` on a translated copy of the body and lists the
+  minority pairs in bit order; padding bits are never read as pairs.  The
+  pairs are ORed into the rows, complemented at the end for a dense
+  graph, or, with ``split``, go to :func:`~.graph.co_components` and no
+  row is formed.  Encoding starts from an
   all-``?`` or all-``~`` body with clear padding bits and flips one bit
   per minority pair, read off the low v bits of each row v.
   :func:`complement_graph6` takes this route with the non-edges given
@@ -37,8 +38,8 @@ places the bits by one of two routes, chosen from the input alone:
 
 The choice costs only C-level scans.  Encoding sums ``row.bit_count()``
 and takes the minority route when at most 1% of the pairs are in the
-minority.  Decoding compares ``body.count(b"?")`` with
-``body.count(b"~")`` and takes it when at most 4% of the data bytes
+minority.  Decoding counts the ``~`` bytes, and the ``?`` bytes unless
+``~`` is the majority, and takes it when at most 4% of the data bytes
 differ from the majority byte (about 0.7% of the pairs, if the minority
 bits are spread out).  Timed on uniform random graphs with n = 600, 2000
 and 4000 (best of five, one process, Python 3.11), the minority route was
@@ -52,10 +53,9 @@ complements have at least 2.1% (11% of the bytes).
 
 from __future__ import annotations
 
-from math import isqrt
 from typing import Iterable, Iterator
 
-from .graph import Graph
+from .graph import CoComponents, Graph, co_components
 
 _HEADER_PREFIX = b">>graph6<<"
 _MAX_N = (1 << 36) - 1
@@ -72,6 +72,15 @@ _PLANE_WEIGHT = [
     bytes.maketrans(b"01", bytes([offset, offset + (32 >> k)]))
     for k, offset in enumerate((63, 0, 0, 0, 0, 0))
 ]
+# _MARKS[dense] maps the majority byte ("~" if dense, else "?") to 1, the
+# other data bytes to 0 and any other byte to 2: one translate validates
+# the body and marks its minority bytes.
+_MARKS = tuple(
+    bytes(1 if b == majority else 0 if 63 <= b <= 126 else 2 for b in range(256))
+    for majority in (63, 126)
+)
+# The offsets in a byte, 0 first, of the set bits of each sextet.
+_SET_BITS = [tuple(k for k in range(6) if s >> (5 - k) & 1) for s in range(64)]
 # The minority routes run when at most 1/divisor of the pairs (encode) or
 # of the data bytes (decode) are in the minority; see the module docstring.
 _ENCODE_MINORITY_DIVISOR = 100
@@ -173,12 +182,14 @@ def _minority_line(n: int, dense: bool, positions: Iterable[int]) -> bytes:
     return bytes(line)
 
 
-def from_graph6(data: bytes | str) -> Graph:
+def from_graph6(data: bytes | str, *, split: bool = False) -> Graph | CoComponents:
     """Decode a graph6 byte (or ASCII text) string; inverse of :func:`to_graph6`.
 
     Accepts the optional ``>>graph6<<`` prefix and surrounding whitespace.
     Raises :class:`Graph6Error` on non-ASCII text, a malformed header, wrong
     data length, a data byte outside 63..126, or nonzero padding bits.
+    With ``split``, a near-complete line (the dense minority route) comes
+    back as its :class:`CoComponents`, without forming its rows.
     """
     if isinstance(data, str):
         try:
@@ -195,16 +206,29 @@ def from_graph6(data: bytes | str) -> Graph:
         raise Graph6Error(
             f"graph6 data length {len(body)} != {expected} required for n={n}"
         )
-    invalid = body.translate(None, _DATA_BYTES)
-    if invalid:
-        raise Graph6Error(f"data byte {invalid[0]} outside graph6 range")
+    # The minority route needs 96% of the bytes to be the majority byte, so
+    # one count settles a near-complete body; any other takes two.
+    ones = body.count(b"~")
+    dense = 2 * ones > expected
+    same = ones if dense else body.count(b"?")
+    marked = body.translate(_MARKS[dense])
+    invalid = marked.find(2)
+    if invalid >= 0:
+        raise Graph6Error(f"data byte {body[invalid]} outside graph6 range")
     if body and (body[-1] - 63) & ((1 << (6 * expected - nbits)) - 1):
         raise Graph6Error("nonzero padding bits")
-    zeros, ones = body.count(b"?"), body.count(b"~")
-    if (expected - max(zeros, ones)) * _DECODE_MINORITY_DIVISOR <= expected:
-        rows = _rows_minority(n, body, nbits, dense=ones > zeros)
-    else:
-        rows = _rows_whole_buffer(n, body)
+    if (expected - same) * _DECODE_MINORITY_DIVISOR > expected:
+        return Graph(n, _rows_whole_buffer(n, body))
+    pairs = _minority_pairs(body, marked, nbits, dense)
+    if dense and split:
+        return co_components(n, pairs)
+    rows = [0] * n
+    for u, v in pairs:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    if dense:
+        full = (1 << n) - 1
+        rows = [row ^ full ^ (1 << v) for v, row in enumerate(rows)]
     return Graph(n, rows)
 
 
@@ -224,32 +248,24 @@ def _rows_whole_buffer(n: int, body: bytes) -> list:
     return [int(matrix[v * n : (v + 1) * n], 2) for v in range(n)]
 
 
-def _rows_minority(n: int, body: bytes, nbits: int, dense: bool) -> list:
-    # Visit only the bytes that differ from the majority byte and OR their
-    # minority bits into the rows; a dense graph is complemented at the end.
-    # The translation turns those bytes into NULs, which bytes.find locates
-    # faster than a regular expression scans for them.
-    # Bit position pos = v(v-1)/2 + u gives v = (1 + isqrt(8 pos + 1)) // 2.
-    rows = [0] * n
+def _minority_pairs(body: bytes, marked: bytes, nbits: int, dense: bool) -> list:
+    # The minority pairs (u, v), u < v, in bit order, found as the NULs of
+    # the body through _MARKS: bytes.find locates them faster than a
+    # regular expression scans for them.  Positions only grow, so column v
+    # only moves forward.
+    pairs = []
     flip = 63 if dense else 0
-    marks = bytearray(256)
-    marks[63 + flip] = 1
-    marked = body.translate(marks)
+    v = 1
+    base = 0  # v(v-1)/2
     i = marked.find(0)
     while i >= 0:
-        sextet = (body[i] - 63) ^ flip
-        while sextet:
-            top = sextet.bit_length() - 1
-            sextet ^= 1 << top
-            pos = 6 * i + 5 - top
+        for offset in _SET_BITS[(body[i] - 63) ^ flip]:
+            pos = 6 * i + offset
             if pos >= nbits:  # a padding bit, flipped to 1 on a dense body
                 break
-            v = (1 + isqrt(8 * pos + 1)) >> 1
-            u = pos - v * (v - 1) // 2
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            while pos >= base + v:
+                base += v
+                v += 1
+            pairs.append((pos - base, v))
         i = marked.find(0, i + 1)
-    if dense:
-        full = (1 << n) - 1
-        rows = [row ^ full ^ (1 << v) for v, row in enumerate(rows)]
-    return rows
+    return pairs

@@ -174,14 +174,22 @@ class RealizationReport:
             return None
         return materialize(self.plan, vertex_budget=self.plan.vertex_total())
 
+    def graph6(self) -> Optional[bytes]:
+        """The certificate's graph6 line, written from the plan, or None
+        when the plan is over budget."""
+        if not self.materialized:
+            return None
+        return plan_graph6(self.plan, vertex_budget=self.plan.vertex_total())
+
     @property
     def ordering_verified(self) -> bool:
         predicted = self.plan.predicted
         return self.permutation.misordered(lambda t: predicted[t - 1]) is None
 
-    def to_json(self) -> dict:
+    def to_json(self, graph6: Optional[bytes] = None) -> dict:
         """The report as JSON; the CLI takes its exit code from
-        ``ordering_verified`` here, so the order is checked once."""
+        ``ordering_verified`` here, so the order is checked once.
+        ``graph6`` is the line of :meth:`graph6`, if the caller has it."""
         plan = self.certificate.to_json()
         ranked = self.permutation.by_rank()
         out = {
@@ -195,8 +203,7 @@ class RealizationReport:
             "materialized": self.materialized,
         }
         if self.materialized:
-            line = plan_graph6(self.plan, vertex_budget=self.plan.vertex_total())
-            out["graph6"] = line.decode("ascii")
+            out["graph6"] = (graph6 or self.graph6()).decode("ascii")
         return out
 
 

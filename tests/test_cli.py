@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from decimal import Decimal
@@ -332,6 +333,30 @@ def test_check_malformed_file(tmp_path, capsys):
     assert code == 3
     assert out == ""
     assert f"no graph6 line found in {blank}" in err
+
+
+@pytest.mark.parametrize("data", [
+    b"Dhc\r\nA_\r\n",  # CRLF
+    b"\rDhc\rA_",  # bare CR
+    b"\n  \n\t\r\nDhc\nA_\n",  # blank lines first
+    b"\x0b\nDhc\n",  # a line of \x0b alone is blank
+    b"\x0c\x0bDhc \nA_",  # whitespace around the line is stripped
+    b"  >>graph6<<Dhc\r\n",
+    b"\n\nDh\x0bc\nA_\n",  # bytes.splitlines does not cut at \x0b
+    b"A_\x1cDhc\n",  # nor at \x1c
+])
+def test_read_graph_takes_the_first_line_that_is_not_blank(tmp_path, data):
+    path = tmp_path / "g.g6"
+    path.write_bytes(data)
+    # the line choice of reading every line with bytes.splitlines
+    line = next(line for line in data.splitlines() if line.strip())
+    try:
+        expected = from_graph6(line)
+    except ValueError as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            wellcovered.cli._read_graph(str(path), split=False)
+    else:
+        assert wellcovered.cli._read_graph(str(path), split=False) == expected
 
 
 # -- realize ---------------------------------------------------------------------

@@ -6,12 +6,17 @@ import pytest
 from wellcovered import (
     Graph,
     Polynomial,
+    TailPermutation,
     complement,
     complete,
     disjoint_copies,
+    from_graph6,
     independence_polynomial,
+    is_well_covered,
     join,
+    realize,
 )
+from wellcovered.graph import co_components
 
 from bruteforce import kneser, random_graph
 
@@ -178,3 +183,40 @@ def test_kneser():
         kneser(3, 4)
     with pytest.raises(ValueError):
         kneser(3, 0)
+
+
+def test_co_components_rebuild_the_graph():
+    # each part, placed on each of its vertex tuples and joined to every
+    # vertex outside it, gives the graph back; the parts are the
+    # components of the complement, and no two distinct parts are equal
+    rng = Random(43)
+    for n in range(30):
+        g = random_graph(rng, n, rng.choice((0.5, 0.8, 0.95)))
+        split = co_components(n, list(complement(g).edges()))
+        assert split.n == n
+        rows = [(1 << n) - 1 ^ 1 << v for v in range(n)]
+        placed = []
+        for part, places in split.parts:
+            for vertices in places:
+                assert list(vertices) == sorted(vertices) and len(vertices) == part.n
+                placed += vertices
+                for i, v in enumerate(vertices):
+                    rows[v] ^= sum(1 << w for w in vertices if w != v)
+                    rows[v] |= sum(1 << vertices[j] for j in part.neighbors(i))
+        assert sorted(placed) == list(range(n))
+        assert Graph(n, rows) == g
+        assert sum(len(places) for _, places in split.parts) == components(complement(g))
+        assert len({part for part, _ in split.parts}) == len(split.parts)
+        # the join rules answer as the whole graph does, n = 0 included
+        assert independence_polynomial(split) == independence_polynomial(g)
+        assert is_well_covered(split) == is_well_covered(g)
+
+
+@pytest.mark.parametrize("images, n, parts", [((1, 2), 5148, 2427), ((2, 1), 1066, 509)])
+def test_q2_certificate_co_components(images, n, parts):
+    # 2,420 and 507 parts of two non-adjacent vertices, plus 7 and 2 copies
+    # of two disjoint cliques K_22 and K_13
+    line = realize(TailPermutation.from_image_list(2, images)).graph6()
+    split = from_graph6(line, split=True)
+    assert split.n == n
+    assert sum(len(places) for _, places in split.parts) == parts

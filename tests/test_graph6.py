@@ -129,7 +129,10 @@ def test_both_routes_match_bitwise_oracle(dense):
         if dense:
             assert graph6.complement_graph6(n, complement(g).edges()) == line
         assert header + graph6._body_whole_buffer(g.rows) == line
-        assert graph6._rows_minority(n, body, nbits, dense) == list(g.rows)
+        minority = complement(g) if dense else g
+        marked = body.translate(graph6._MARKS[dense])
+        pairs = graph6._minority_pairs(body, marked, nbits, dense)
+        assert pairs == sorted(minority.edges(), key=lambda e: (e[1], e[0]))
         assert graph6._rows_whole_buffer(n, body) == list(g.rows)
         assert to_graph6(g) == line
         assert from_graph6(line) == g
@@ -175,7 +178,7 @@ def test_route_selection(monkeypatch, q2_certificate):
         assert from_graph6(to_graph6(q2_certificate)) == q2_certificate
     with monkeypatch.context() as patch:
         patch.setattr(graph6, "_minority_line", refuse)
-        patch.setattr(graph6, "_rows_minority", refuse)
+        patch.setattr(graph6, "_minority_pairs", refuse)
         # the function-grid triples of the benchmark
         for k, q, m in ((1, 3, 14), (1, 4, 6), (1, 5, 3), (2, 4, 4), (3, 5, 2)):
             g = build_function_graph(k, q, m)

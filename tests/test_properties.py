@@ -24,16 +24,25 @@ some beside a second function graph or a lone vertex, at their own
 parameters and one step off them: random graphs almost never have the
 property, these reach its accepting local rule and each way that rule
 fails.
-Relabelling a graph changes none of the answers read off it."""
+Relabelling a graph changes none of the answers read off it.  ``check``
+answers near-complete joins from their co-components as the library
+answers on the whole graph.  The well-covered witness is also checked on
+graphs whose walk meets another maximal independent set of an extreme
+size before the lexicographically smallest one."""
 
+import contextlib
+import io
 import json
+import tempfile
 from fractions import Fraction
+from itertools import combinations
 from math import comb, floor
+from pathlib import Path
 from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wellcovered import (
@@ -44,6 +53,7 @@ from wellcovered import (
     PlanComponent,
     Polynomial,
     TargetSequence,
+    binomial_ratio_check,
     build_function_graph,
     build_plan,
     check_clique_extension,
@@ -60,6 +70,8 @@ from wellcovered import (
     vertex_count,
 )
 from wellcovered import cli, enumeration
+from wellcovered.graph import CoComponents
+from wellcovered.graph6 import complement_graph6
 from wellcovered.certificate import _certification_floor, plan_graph6
 from wellcovered.enumeration import check_ratio_chain
 
@@ -152,8 +164,32 @@ def test_walk_yields_each_maximal_clique_once(g):
     assert set(walked) == set(bruteforce.maximal_cliques_by_recursion(g))
 
 
+@st.composite
+def hidden_witness_graphs(draw) -> Graph:
+    """A graph on 10 to 14 vertices, highest degree first, each pair an
+    edge with probability 0.2 to 0.4, so that :func:`maximal_cliques`
+    mostly hands its complement to Bron-Kerbosch whole.  Only a draw whose
+    walk meets another maximal independent set of the smallest or the
+    largest size before the lexicographically smallest one of that size
+    is kept, so a witness that kept the first set it met of a size is
+    wrong on every draw."""
+    n = draw(st.integers(10, 14))
+    g = bruteforce.random_graph(
+        Random(draw(st.integers(0, 2**32))), n, draw(st.sampled_from([0.2, 0.3, 0.4]))
+    )
+    order = sorted(range(n), key=lambda v: -g.degree(v))
+    g = relabel(g, [order.index(v) for v in range(n)])
+    walked = list(maximal_independent_sets(g))
+    sizes = {len(s) for s in walked}
+    assume(any(
+        next(s for s in walked if len(s) == size) != min(s for s in walked if len(s) == size)
+        for size in (min(sizes), max(sizes))
+    ))
+    return g
+
+
 @settings(max_examples=150, deadline=None)
-@given(walk_graphs())
+@given(st.one_of(walk_graphs(), hidden_witness_graphs()))
 def test_is_well_covered_matches_subset_reference(g):
     assert is_well_covered(g) == bruteforce.well_covered_report(g)
 
@@ -256,6 +292,72 @@ def test_relabelled_function_graph_complement_changes_no_answer():
     sigma = list(range(g.n))
     Random(1).shuffle(sigma)
     assert_relabelling_changes_no_answer(g, sigma, maximal_independent_sets)
+
+
+@st.composite
+def near_complete_joins(draw) -> bytes:
+    """The graph6 line of a join of copies of one to three parts of one to
+    four vertices, topped up to at least 600 vertices with single vertices
+    or with copies of the first part, relabelled at random and written
+    through ``complement_graph6`` from its non-edges.  A part has at most
+    3/2 non-edges a vertex, so at most 1.5n of the n(n-1)/12 data bytes
+    differ from "~": under 4% from 451 vertices.  Parts of different alpha
+    leave the join not well-covered; copies of one well-covered part do
+    not."""
+    shapes = draw(st.lists(
+        st.integers(1, 4).flatmap(lambda n: st.lists(
+            st.booleans(), min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2
+        ).map(lambda bits, n=n: Graph.from_edges(
+            n, [e for e, bit in zip(combinations(range(n), 2), bits) if bit]
+        ))),
+        min_size=1, max_size=3,
+    ))
+    parts = [shape for shape in shapes for _ in range(draw(st.integers(1, 100)))]
+    filler = draw(st.sampled_from([Graph(1, (0,)), shapes[0]]))
+    while sum(p.n for p in parts) < 600:
+        parts.append(filler)
+    g = join(parts)
+    sigma = list(range(g.n))
+    Random(draw(st.integers(0, 2**32))).shuffle(sigma)
+    return complement_graph6(g.n, (
+        (min(sigma[u], sigma[v]), max(sigma[u], sigma[v])) for u, v in complement(g).edges()
+    ))
+
+
+def run_check(path, *argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["check", str(path), *argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+# check answers these joins from their co-components; the library answers
+# on the whole graph, decoded into rows
+@settings(max_examples=40, deadline=None)
+@given(near_complete_joins())
+def test_check_answers_a_join_from_its_parts(line):
+    assert isinstance(from_graph6(line, split=True), CoComponents)
+    g = from_graph6(line)
+    expected = {
+        "indpoly": independence_polynomial(g).to_json(),
+        "wellcovered": is_well_covered(g)._asdict(),
+    }
+    try:
+        expected["mt"] = binomial_ratio_check(g)._asdict()
+    except ValueError as exc:
+        refusal = f"error: {exc}\n"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "join.g6"
+        path.write_bytes(line + b"\n")
+        for mode in ("indpoly", "wellcovered", "mt"):
+            for fmt in ("json", "text"):
+                got = run_check(path, "--mode", mode, "--format", fmt)
+                if mode not in expected:
+                    assert got == (3, "", refusal)
+                    continue
+                payload = expected[mode]
+                text = cli._json_text(payload) if fmt == "json" else cli._render_text(payload)
+                assert got == (0, text + "\n", ""), (mode, fmt)
 
 
 # Function graphs on at most 32 vertices; unions of two with the same
