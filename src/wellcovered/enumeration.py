@@ -9,10 +9,8 @@ big integers instead of going through floats.
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -414,8 +412,7 @@ def _extremes(sets: Iterator[tuple[int, ...]]) -> tuple[tuple[int, ...], tuple[i
 # -- clique extension property ------------------------------------------
 
 
-@dataclass(frozen=True)
-class CliqueExtensionReport:
+class CliqueExtensionReport(NamedTuple):
     """Result of checking the three clique-coverage conditions:
 
     1. every maximal clique has size q;
@@ -446,140 +443,124 @@ class CliqueExtensionReport:
         }
 
 
-def _splits_into_blocks(x: int, rows, size: int, m: int) -> bool:
-    """Whether the graph induced on x is a disjoint union of at least m
-    cliques of exactly ``size`` vertices.  Block by block: the lowest
-    vertex u left in x and its neighbours in x form a block of ``size``
-    vertices, each vertex w of the block sees exactly the rest of it in
-    x, and the block leaves x."""
+def _count_blocks(x: int, rows, size: int) -> int:
+    """How many cliques of ``size`` vertices (any size when it is 0) the
+    graph induced on x is a disjoint union of, or -1 if it is not one.
+    Block by block: the lowest vertex u left in x and its neighbours in x
+    form a block, each vertex w of the block sees exactly the rest of it
+    in x, and the block leaves x."""
     blocks = 0
     while x:
         low = x & -x
         block = rows[low.bit_length() - 1] & x | low
-        if block.bit_count() != size:
-            return False
+        if size and block.bit_count() != size:
+            return -1
         rest = block ^ low
         while rest:
             w = rest & -rest
             rest ^= w
             if rows[w.bit_length() - 1] & x | w != block:
-                return False
+                return -1
         x ^= block
         blocks += 1
-    return blocks >= m
-
-
-def _extends_locally(g: Graph, k: int, q: int, m: int) -> bool:
-    """The local rule of :func:`check_clique_extension`: every clique of
-    fewer than k vertices has a common neighbour, and the common
-    neighbourhood of every k-clique is a disjoint union of at least m
-    cliques of q - k vertices.
-
-    The cliques of fewer than k vertices are walked depth-first, each
-    reached once along its ascending order through its forward
-    neighbourhood, as :func:`maximal_cliques` does.  A frame [C, P]
-    is one such clique's common neighbourhood and the forward candidates
-    not yet taken; frame i holds a clique of i vertices, so the stack
-    holds at most k frames.  A k-clique is checked where it is met and
-    never pushed.
-    """
-    rows = g.rows
-    full = (1 << g.n) - 1
-    if k == 0:
-        return _splits_into_blocks(full, rows, q, m)
-    if not full:
-        return False  # the empty clique is maximal
-    stack = [[full, full]]
-    while stack:
-        frame = stack[-1]
-        c, p = frame
-        if not p:
-            stack.pop()
-            continue
-        low = p & -p
-        p ^= low
-        frame[1] = p
-        row = rows[low.bit_length() - 1]
-        if len(stack) == k:
-            if not _splits_into_blocks(c & row, rows, q - k, m):
-                return False
-        elif not c & row:
-            return False  # a maximal clique of fewer than k vertices
-        else:
-            stack.append([c & row, p & row])
-    return True
+    return blocks
 
 
 def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionReport:
     """Exactly verify the clique extension property with parameters
     (k, q, m).  No sampling.
 
-    The property holds iff the local rule of :func:`_extends_locally`
-    does: no clique of fewer than k vertices is maximal, and the common
-    neighbourhood N(S) of every k-clique S (S empty when k = 0) is a
-    disjoint union of at least m cliques of q - k vertices.  If the rule
-    holds, the maximal cliques through S are S plus one block each, so a
-    (k+1)-clique lies in exactly one of them, of q vertices, and S in at
-    least m; no maximal clique has fewer than k vertices, nor exactly k
-    since m >= 1.  If the property holds, the maximal cliques through S
-    have q - k vertices in N(S) and each vertex of N(S) lies in exactly
-    one, so they are its blocks, at least m, with no edge between two of
-    them.  A holding input is therefore decided from the cliques of at
-    most k vertices, and no maximal clique is enumerated.
+    One depth-first walk visits the cliques of at most k vertices in
+    lexicographic pre-order, each through its forward neighbourhood, so
+    the first offender it meets for a condition is that condition's
+    lexicographically smallest witness; it stops once every condition is
+    settled.  A clique of fewer than k vertices with no common neighbour
+    is a maximal clique of the wrong size.  At a k-clique S, the maximal
+    cliques through S are S plus the maximal cliques of its common
+    neighbourhood N(S) (S alone when N(S) is empty), and S passes when
+    N(S) is a disjoint union of at least m cliques of q - k vertices.
+    Otherwise:
 
-    When the rule fails, the exhaustive pass builds the report and its
-    witnesses from the maximal cliques.  Every clique lies in some
-    maximal clique C.  A (k+1)-clique S inside C lies in a second maximal
-    clique iff some common neighbour of S is outside C, so condition 2
-    checks the common neighbourhood of each (k+1)-subset of each maximal
-    clique.  The number of maximal cliques containing a k-clique is the
-    number of times it occurs as a k-subset of one, so condition 3 counts
-    those subsets.  Each condition reports the lexicographically smallest
-    offending clique, which no enumeration order changes: for condition 1
-    a maximal clique of the wrong size.
-
-    That pass reads the maximal cliques of :func:`maximal_cliques` once
-    and keeps none: each clique's k-subsets go straight into the count.
+    - N(S) is a disjoint union of cliques, its blocks: condition 3 fails
+      at S with fewer than m blocks, condition 1 on the smallest block of
+      other than q - k vertices, and condition 2 holds;
+    - else condition 2 fails at S + w for the first w after S whose
+      N(S + w) is not a clique; condition 3 where G[N(S)] has fewer than m
+      maximal cliques, counted only when m > 2, since a component that is
+      not a clique has two; and condition 1 is settled once, over
+      :func:`maximal_cliques`.
     """
     _validate_params(k, q, m)
-    if _extends_locally(g, k, q, m):
-        return CliqueExtensionReport(True, k, q, m, ())
     rows = g.rows
-    violations: list[tuple[int, tuple[int, ...]]] = []
+    full = (1 << g.n) - 1
+    # settled conditions; at m = 1 condition 3 holds, as every clique lies
+    # in a maximal one
+    found: dict[int, Optional[tuple[int, ...]]] = {3: None} if m == 1 else {}
 
-    def k_subsets() -> Iterator[tuple[int, ...]]:
-        # conditions 1 and 2 on each maximal clique, then its k-subsets
-        wrong_size = witness = None
-        for cl in maximal_cliques(g):
-            if len(cl) != q and (wrong_size is None or cl < wrong_size):
-                wrong_size = cl
-            outside = -1
-            for v in cl:
-                outside ^= 1 << v
-            # subsets come in lexicographic order: stop at the first
-            # offender, or once past the smallest offender found so far
-            for s in combinations(cl, k + 1):
-                if witness is not None and s >= witness:
+    def fail_at(s: tuple[int, ...], c: int, p: int) -> None:
+        # s is a k-clique that fails the local rule, c = N(s), p = c after s
+        blocks = _count_blocks(c, rows, 0)
+        if blocks >= 0:
+            if max(blocks, 1) < m:
+                found.setdefault(3, s)
+            if 1 not in found:
+                # a block with a vertex before S's last gives a maximal
+                # clique whose first k vertices came earlier in the walk
+                for b in _components(c, rows) or [0]:
+                    if b.bit_count() != q - k:
+                        found[1] = (*s, *_bits(b))
+                        break
+            return
+        if 1 not in found:
+            found[1] = min((cl for cl in maximal_cliques(g) if len(cl) != q), default=None)
+        if 2 not in found:
+            for w in _bits(p):
+                x = c & rows[w]
+                if _count_blocks(x, rows, x.bit_count()) < 0:  # not a clique
+                    found[2] = (*s, w)
                     break
-                common = outside
-                for v in s:
-                    common &= rows[v]
-                if common:
-                    witness = s
-                    break
-            # at m = 1 condition 3 holds: every clique lies in a maximal one
-            if m > 1:
-                yield from combinations(cl, k)
-        if wrong_size is not None:
-            violations.append((1, wrong_size))
-        if witness is not None:
-            violations.append((2, witness))
+        if 3 not in found and m > 2 and sum(1 for _ in islice(_bron_kerbosch(rows, c), m)) < m:
+            found[3] = s
 
-    counts = Counter(k_subsets())
-    short = [s for s, c in counts.items() if c < m]
-    if short:
-        violations.append((3, min(short)))
-    return CliqueExtensionReport(not violations, k, q, m, tuple(violations))
+    # frame i is [C, P, R] for a clique R of i vertices: its common
+    # neighbourhood and the forward candidates not yet taken
+    stack = []
+    if k == 0:
+        if _count_blocks(full, rows, q) < m:
+            fail_at((), full, full)
+    elif full:
+        stack.append([full, full, ()])
+    else:
+        found[1] = ()  # the empty clique is maximal
+    # the local rule, relaxed to any block size once condition 1 is
+    # settled and to one block once condition 3 is
+    size, need = q - k, m
+    while stack:
+        frame = stack[-1]
+        c, p, r = frame
+        if not p:
+            stack.pop()
+            continue
+        low = p & -p
+        p ^= low
+        frame[1] = p
+        v = low.bit_length() - 1
+        row = rows[v]
+        if len(stack) == k:
+            if _count_blocks(c & row, rows, size) >= need:
+                continue
+            fail_at((*r, v), c & row, p & row)
+        elif c & row:
+            stack.append([c & row, p & row, (*r, v)])
+            continue
+        else:
+            found.setdefault(1, (*r, v))  # a maximal clique of fewer than k vertices
+        if len(found) == 3:
+            break
+        size = 0 if 1 in found else q - k
+        need = 1 if 3 in found else m
+    violations = tuple((i, w) for i, w in sorted(found.items()) if w is not None)
+    return CliqueExtensionReport(not violations, k, q, m, violations)
 
 
 # -- binomial-ratio chain -----------------------------------------------

@@ -342,6 +342,13 @@ def test_check_clique_extension_violations():
     assert report4.violations == ((1, (3,)),)
     assert report4 == bruteforce.check_clique_extension(g4, 2, 3, 1)
 
+    # the common neighbourhood of vertex 0 is the path 1-2-3, not a union
+    # of cliques: (0, 2) lies in two maximal cliques, and 0 in two, not 3
+    g6 = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)])
+    report6 = check_clique_extension(g6, 1, 3, 3)
+    assert report6.violations == ((2, (0, 2)), (3, (0,)))
+    assert report6 == bruteforce.check_clique_extension(g6, 1, 3, 3)
+
     # the graph on no vertices: its one maximal clique is the empty one
     for k in (0, 1):
         report5 = check_clique_extension(Graph(0, []), k, 3, 1)
@@ -372,26 +379,35 @@ def test_condition_1_witness_is_lexicographically_smallest():
 
 def test_check_clique_extension_keeps_no_clique_list():
     # (1,3,16) has 4,096 maximal cliques on 768 vertices and (2,4,4) 4,096
-    # on 256.  A holding input is decided by the local rule, whose stack
-    # holds at most k frames: the peaks are about 1.7 and 1.1 kB.  The
-    # exhaustive pass, which counts every k-subset of every maximal
-    # clique, peaks at 76 and 736 kB on them
-    for params in ((1, 3, 16), (2, 4, 4)):
-        g = build_function_graph(*params)
+    # on 256.  The walk's stack holds at most k frames, and a rejected
+    # input reads its witnesses off the common neighbourhoods where the
+    # local rule fails: the peaks are 1.3 to 3.4 kB.  Counting every
+    # k-subset of every maximal clique peaked at 73 to 736 kB on the four
+    # rejected inputs
+    cases = [
+        ((1, 3, 16), (1, 3, 16), ()),
+        ((2, 4, 4), (2, 4, 4), ()),
+        ((1, 3, 16), (1, 3, 17), ((3, (0,)),)),
+        ((1, 3, 16), (1, 4, 16), ((1, (0, 256, 512)),)),
+        ((2, 4, 4), (2, 4, 5), ((3, (0, 64)),)),
+        ((2, 4, 4), (2, 5, 4), ((1, (0, 64, 128, 192)),)),
+    ]
+    for built, params, violations in cases:
+        g = build_function_graph(*built)
         tracemalloc.start()
         try:
             report = check_clique_extension(g, *params)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.holds
+        assert report.violations == violations, params
         assert peak < 20_000, (params, peak)
 
 
 def test_local_rule_keeps_at_most_k_frames():
     # one lazy frame per clique of fewer than k vertices on the path to
     # the current one; a k-clique is checked where it is met, not pushed
-    code = enumeration._extends_locally.__code__
+    code = enumeration.check_clique_extension.__code__
     previous = sys.gettrace()
     for g, params in HOLDING + [(build_function_graph(3, 5, 2), (3, 5, 2))]:
         deepest = 0
@@ -403,10 +419,61 @@ def test_local_rule_keeps_at_most_k_frames():
 
         sys.settrace(lambda frame, event, arg: line if frame.f_code is code else None)
         try:
-            holds = enumeration._extends_locally(g, *params)
+            holds = check_clique_extension(g, *params).holds
         finally:
             sys.settrace(previous)
         assert holds and deepest == params[0], (params, deepest)
+
+
+def _failure_routes(rows, c: int, size: int, m: int) -> set:
+    """The routes a k-clique S whose common neighbourhood is c takes when
+    it fails the local rule."""
+    vertices = [v for v in range(c.bit_length()) if c >> v & 1]
+    blocks = {rows[u] & c | 1 << u for u in vertices}
+    if any(rows[w] & c | 1 << w != b for b in blocks for w in vertices if b >> w & 1):
+        return {"not a union of cliques"}
+    routes = {"too few blocks"} if max(len(blocks), 1) < m else set()
+    if not blocks or any(b.bit_count() != size for b in blocks):
+        routes.add("blocks of the wrong size")
+    return routes
+
+
+def test_check_clique_extension_failure_routes():
+    # relabelled function graphs, as built, with one edge removed, and with
+    # one edge removed and one added, each at its own parameters, m + 1,
+    # q + 1 and k - 1 (k + 1 at k = 0): every report matches the oracle,
+    # and the k-cliques that fail the local rule take every route
+    fail_at = next(c for c in enumeration.check_clique_extension.__code__.co_consts
+                   if getattr(c, "co_name", None) == "fail_at")
+    rng = Random(30)
+    routes = set()
+    for k, q, m in ((1, 3, 2), (1, 3, 5), (2, 4, 2), (1, 4, 3), (0, 3, 3)):
+        built = build_function_graph(k, q, m)
+        sigma = list(range(built.n))
+        rng.shuffle(sigma)
+        edges = sorted(tuple(sorted((sigma[u], sigma[v]))) for u, v in built.edges())
+        removed = rng.choice(edges)
+        kept = [e for e in edges if e != removed]
+        absent = sorted({(u, v) for v in range(built.n) for u in range(v)} - set(edges))
+        for variant in (edges, kept, kept + [rng.choice(absent)]):
+            g = Graph.from_edges(built.n, variant)
+            for params in ((k, q, m), (k, q, m + 1), (k, q + 1, m), (k - 1 if k else 1, q, m)):
+                met = []
+
+                def call(frame, event, arg):
+                    if frame.f_code is fail_at:
+                        met.append(frame.f_locals["c"])
+
+                previous = sys.gettrace()
+                sys.settrace(call)
+                try:
+                    report = check_clique_extension(g, *params)
+                finally:
+                    sys.settrace(previous)
+                assert report == bruteforce.check_clique_extension(g, *params), params
+                for c in met:
+                    routes |= _failure_routes(g.rows, c, params[1] - params[0], params[2])
+    assert routes == {"not a union of cliques", "too few blocks", "blocks of the wrong size"}
 
 
 def test_check_clique_extension_param_validation():
