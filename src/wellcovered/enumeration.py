@@ -479,16 +479,16 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
     cliques through S are S plus the maximal cliques of its common
     neighbourhood N(S) (S alone when N(S) is empty), and S passes when
     N(S) is a disjoint union of at least m cliques of q - k vertices.
-    Otherwise:
+    Otherwise, with P the part of N(S) after S's last vertex:
 
-    - N(S) is a disjoint union of cliques, its blocks: condition 3 fails
-      at S with fewer than m blocks, condition 1 on the smallest block of
-      other than q - k vertices, and condition 2 holds;
-    - else condition 2 fails at S + w for the first w after S whose
-      N(S + w) is not a clique; condition 3 where G[N(S)] has fewer than m
-      maximal cliques, counted only when m > 2, since a component that is
-      not a clique has two; and condition 1 is settled once, over
-      :func:`maximal_cliques`.
+    - condition 1 fails on the smallest maximal clique of other than q
+      vertices whose first k vertices are S, if there is one:
+      :func:`_bron_kerbosch` seeded with (S, P, N(S) - P) lists exactly
+      those cliques;
+    - condition 2 fails at S + w for the first w in P whose N(S + w) is
+      not a clique;
+    - condition 3 fails at S when G[N(S)] has fewer than m maximal
+      cliques, the empty N(S) having one.
     """
     _validate_params(k, q, m)
     rows = g.rows
@@ -499,27 +499,17 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
 
     def fail_at(s: tuple[int, ...], c: int, p: int) -> None:
         # s is a k-clique that fails the local rule, c = N(s), p = c after s
-        blocks = _count_blocks(c, rows, 0)
-        if blocks >= 0:
-            if max(blocks, 1) < m:
-                found.setdefault(3, s)
-            if 1 not in found:
-                # a block with a vertex before S's last gives a maximal
-                # clique whose first k vertices came earlier in the walk
-                for b in _components(c, rows) or [0]:
-                    if b.bit_count() != q - k:
-                        found[1] = (*s, *_bits(b))
-                        break
-            return
         if 1 not in found:
-            found[1] = min((cl for cl in maximal_cliques(g) if len(cl) != q), default=None)
+            witness = min((cl for cl in _bron_kerbosch(rows, p, c ^ p, s) if len(cl) != q), default=None)
+            if witness is not None:
+                found[1] = witness
         if 2 not in found:
             for w in _bits(p):
                 x = c & rows[w]
                 if _count_blocks(x, rows, x.bit_count()) < 0:  # not a clique
                     found[2] = (*s, w)
                     break
-        if 3 not in found and m > 2 and sum(1 for _ in islice(_bron_kerbosch(rows, c), m)) < m:
+        if 3 not in found and sum(1 for _ in islice(_bron_kerbosch(rows, c), m)) < m:
             found[3] = s
 
     # frame i is [C, P, R] for a clique R of i vertices: its common

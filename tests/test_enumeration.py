@@ -2,13 +2,16 @@ import gc
 import sys
 import threading
 import tracemalloc
+from itertools import combinations
 from math import comb
 from random import Random
 from unittest import mock
 
+import networkx as nx
 import pytest
 
 from wellcovered import enumeration
+from wellcovered.enumeration import _bron_kerbosch
 from wellcovered import (
     Graph,
     Plan,
@@ -252,6 +255,27 @@ def test_maximal_sets_match_subset_filter():
         assert set(maximal_independent_sets(g)) == bruteforce.maximal_independent_sets(g)
 
 
+def test_seeded_bron_kerbosch_matches_networkx():
+    # on every graph of the atlas (up to 7 vertices) and at every clique S,
+    # the call seeded with (S, P, N(S) - P), P the part of N(S) after S's
+    # last vertex, lists the maximal cliques whose first |S| vertices are
+    # S; the graph on no vertices has the one maximal clique ()
+    seeds = 0
+    for h in nx.graph_atlas_g():
+        g = Graph.from_edges(h.number_of_nodes(), h.edges())
+        found = sorted(tuple(sorted(cl)) for cl in nx.find_cliques(h)) or [()]
+        assert set(maximal_cliques(g)) == set(found)
+        for s in {s for cl in found for j in range(len(cl) + 1) for s in combinations(cl, j)}:
+            c = (1 << g.n) - 1
+            for v in s:
+                c &= g.rows[v]
+            p = c >> (s[-1] + 1) << (s[-1] + 1) if s else c
+            got = sorted(_bron_kerbosch(g.rows, p, c ^ p, s))
+            assert got == [cl for cl in found if cl[: len(s)] == s], (sorted(h.edges()), s)
+            seeds += 1
+    assert seeds == 29_019
+
+
 def test_enumeration_deterministic():
     g = bruteforce.random_graph(Random(3), 12)
     assert list(maximal_independent_sets(g)) == list(maximal_independent_sets(g))
@@ -307,16 +331,22 @@ HOLDING = [
 ]
 
 
-def test_check_clique_extension_holds():
-    # the verdict comes from the cliques of at most k vertices; only a
-    # failing report walks the maximal cliques
-    refuse = {"side_effect": AssertionError("maximal cliques enumerated")}
-    with mock.patch.object(enumeration, "maximal_cliques", **refuse):
-        for g, params in HOLDING:
-            assert check_clique_extension(g, *params).holds, params
+@pytest.fixture
+def no_maximal_clique_walk():
+    """The whole-graph maximal clique walk raises: property-p reads every
+    witness off the common neighbourhoods of k-cliques."""
+    refuse = AssertionError("maximal cliques enumerated")
+    with mock.patch.object(enumeration, "maximal_cliques", side_effect=refuse):
+        yield
 
 
-def test_check_clique_extension_violations():
+def test_check_clique_extension_holds(no_maximal_clique_walk):
+    # the verdict comes from the cliques of at most k vertices
+    for g, params in HOLDING:
+        assert check_clique_extension(g, *params).holds, params
+
+
+def test_check_clique_extension_violations(no_maximal_clique_walk):
     # two triangles sharing an edge: the shared edge (2-clique) extends to
     # two maximal cliques, so uniqueness at k=1 fails
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
@@ -426,8 +456,8 @@ def test_local_rule_keeps_at_most_k_frames():
 
 
 def _failure_routes(rows, c: int, size: int, m: int) -> set:
-    """The routes a k-clique S whose common neighbourhood is c takes when
-    it fails the local rule."""
+    """The ways the common neighbourhood c of a k-clique that fails the
+    local rule falls short of it."""
     vertices = [v for v in range(c.bit_length()) if c >> v & 1]
     blocks = {rows[u] & c | 1 << u for u in vertices}
     if any(rows[w] & c | 1 << w != b for b in blocks for w in vertices if b >> w & 1):
@@ -438,11 +468,12 @@ def _failure_routes(rows, c: int, size: int, m: int) -> set:
     return routes
 
 
-def test_check_clique_extension_failure_routes():
+def test_check_clique_extension_failure_routes(no_maximal_clique_walk):
     # relabelled function graphs, as built, with one edge removed, and with
     # one edge removed and one added, each at its own parameters, m + 1,
     # q + 1 and k - 1 (k + 1 at k = 0): every report matches the oracle,
-    # and the k-cliques that fail the local rule take every route
+    # and the k-cliques that fail the local rule fall short of it in
+    # every way
     fail_at = next(c for c in enumeration.check_clique_extension.__code__.co_consts
                    if getattr(c, "co_name", None) == "fail_at")
     rng = Random(30)
@@ -474,6 +505,22 @@ def test_check_clique_extension_failure_routes():
                 for c in met:
                     routes |= _failure_routes(g.rows, c, params[1] - params[0], params[2])
     assert routes == {"not a union of cliques", "too few blocks", "blocks of the wrong size"}
+
+
+def test_check_clique_extension_matches_oracle_on_small_graphs():
+    # every labelled graph on at most 5 vertices at every k < q <= 4 and
+    # m <= 3: 33,000 reports
+    params = [(k, q, m) for q in range(1, 5) for k in range(q) for m in range(1, 4)]
+    reports = 0
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            for k, q, m in params:
+                expected = bruteforce.check_clique_extension(g, k, q, m)
+                assert check_clique_extension(g, k, q, m) == expected, (n, bits, k, q, m)
+                reports += 1
+    assert reports == 33_000
 
 
 def test_check_clique_extension_param_validation():
