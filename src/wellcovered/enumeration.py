@@ -116,12 +116,22 @@ def maximal_cliques(g: Graph) -> Iterator[tuple[int, ...]]:
     :func:`_bron_kerbosch` whole, and so does the graph on no vertices,
     whose one maximal clique is the empty one.
     """
-    rows = g.rows
     full = (1 << g.n) - 1
-    if 4 * g.edge_count() >= g.n * (g.n - 1):
-        yield from _bron_kerbosch(rows, full)
+    return _forward_walk(g.rows, (), full, full)
+
+
+def _forward_walk(rows, r: tuple[int, ...], c: int, p: int) -> Iterator[tuple[int, ...]]:
+    """The walk of :func:`maximal_cliques` from the node (R, C, P): the
+    maximal cliques whose first len(R) vertices are the clique R, given
+    C = N(R) and P its vertices after R's last.  :func:`_bron_kerbosch`
+    seeded with (R, P, C - P) lists them instead if C is empty, or if R
+    is and the graph has at least as many edges as non-edges; past the
+    root, testing density costs about what it saves."""
+    n = len(rows)
+    if not c or not r and 2 * sum(map(int.bit_count, rows)) >= n * (n - 1):
+        yield from _bron_kerbosch(rows, p, c ^ p, r)
         return
-    stack = [[(), full, full]]
+    stack = [[r, c, p]]
     while stack:
         frame = stack[-1]
         r, c, p = frame
@@ -433,13 +443,8 @@ class CliqueExtensionReport(NamedTuple):
 
     def to_json(self) -> dict:
         return {
-            "holds": self.holds,
-            "k": self.k,
-            "q": self.q,
-            "m": self.m,
-            "violations": [
-                {"condition": c, "witness": list(w)} for c, w in self.violations
-            ],
+            **self._asdict(),
+            "violations": [{"condition": c, "witness": list(w)} for c, w in self.violations],
         }
 
 
@@ -483,12 +488,13 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
 
     - condition 1 fails on the smallest maximal clique of other than q
       vertices whose first k vertices are S, if there is one:
-      :func:`_bron_kerbosch` seeded with (S, P, N(S) - P) lists exactly
-      those cliques;
+      :func:`_forward_walk` from (S, N(S), P) lists exactly those
+      cliques;
     - condition 2 fails at S + w for the first w in P whose N(S + w) is
       not a clique;
     - condition 3 fails at S when G[N(S)] has fewer than m maximal
-      cliques, the empty N(S) having one.
+      cliques: one if N(S) is a clique, the empty one included, and else
+      at least two, counted by :func:`_bron_kerbosch` when m > 2.
     """
     _validate_params(k, q, m)
     rows = g.rows
@@ -500,28 +506,28 @@ def check_clique_extension(g: Graph, k: int, q: int, m: int) -> CliqueExtensionR
     def fail_at(s: tuple[int, ...], c: int, p: int) -> None:
         # s is a k-clique that fails the local rule, c = N(s), p = c after s
         if 1 not in found:
-            witness = min((cl for cl in _bron_kerbosch(rows, p, c ^ p, s) if len(cl) != q), default=None)
-            if witness is not None:
-                found[1] = witness
+            wrong = min((cl for cl in _forward_walk(rows, s, c, p) if len(cl) != q), default=None)
+            if wrong is not None:
+                found[1] = wrong
         if 2 not in found:
             for w in _bits(p):
                 x = c & rows[w]
                 if _count_blocks(x, rows, x.bit_count()) < 0:  # not a clique
                     found[2] = (*s, w)
                     break
-        if 3 not in found and sum(1 for _ in islice(_bron_kerbosch(rows, c), m)) < m:
+        if 3 not in found and (
+            _count_blocks(c, rows, c.bit_count()) >= 0
+            or m > 2 and sum(1 for _ in islice(_bron_kerbosch(rows, c), m)) < m
+        ):
             found[3] = s
 
     # frame i is [C, P, R] for a clique R of i vertices: its common
     # neighbourhood and the forward candidates not yet taken
-    stack = []
-    if k == 0:
-        if _count_blocks(full, rows, q) < m:
-            fail_at((), full, full)
-    elif full:
-        stack.append([full, full, ()])
-    else:
+    stack = [[full, full, ()]] if k else []
+    if not full:
         found[1] = ()  # the empty clique is maximal
+    if k == 0 and _count_blocks(full, rows, q) < m:
+        fail_at((), full, full)
     # the local rule, relaxed to any block size once condition 1 is
     # settled and to one block once condition 3 is
     size, need = q - k, m

@@ -11,7 +11,7 @@ import networkx as nx
 import pytest
 
 from wellcovered import enumeration
-from wellcovered.enumeration import _bron_kerbosch
+from wellcovered.enumeration import _bron_kerbosch, _forward_walk
 from wellcovered import (
     Graph,
     Plan,
@@ -255,11 +255,12 @@ def test_maximal_sets_match_subset_filter():
         assert set(maximal_independent_sets(g)) == bruteforce.maximal_independent_sets(g)
 
 
-def test_seeded_bron_kerbosch_matches_networkx():
+def test_seeded_walks_match_networkx():
     # on every graph of the atlas (up to 7 vertices) and at every clique S,
-    # the call seeded with (S, P, N(S) - P), P the part of N(S) after S's
-    # last vertex, lists the maximal cliques whose first |S| vertices are
-    # S; the graph on no vertices has the one maximal clique ()
+    # Bron-Kerbosch seeded with (S, P, N(S) - P), P the part of N(S) after
+    # S's last vertex, and the forward walk from (S, N(S), P) both list the
+    # maximal cliques whose first |S| vertices are S; the graph on no
+    # vertices has the one maximal clique ()
     seeds = 0
     for h in nx.graph_atlas_g():
         g = Graph.from_edges(h.number_of_nodes(), h.edges())
@@ -270,8 +271,9 @@ def test_seeded_bron_kerbosch_matches_networkx():
             for v in s:
                 c &= g.rows[v]
             p = c >> (s[-1] + 1) << (s[-1] + 1) if s else c
-            got = sorted(_bron_kerbosch(g.rows, p, c ^ p, s))
-            assert got == [cl for cl in found if cl[: len(s)] == s], (sorted(h.edges()), s)
+            expected = [cl for cl in found if cl[: len(s)] == s]
+            assert sorted(_bron_kerbosch(g.rows, p, c ^ p, s)) == expected, (sorted(h.edges()), s)
+            assert sorted(_forward_walk(g.rows, s, c, p)) == expected, (sorted(h.edges()), s)
             seeds += 1
     assert seeds == 29_019
 
