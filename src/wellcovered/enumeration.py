@@ -10,7 +10,7 @@ big integers instead of going through floats.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 from math import comb
 from numbers import Rational
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -125,10 +125,10 @@ def _forward_walk(rows, r: tuple[int, ...], c: int, p: int) -> Iterator[tuple[in
     maximal cliques whose first len(R) vertices are the clique R, given
     C = N(R) and P its vertices after R's last.  :func:`_bron_kerbosch`
     seeded with (R, P, C - P) lists them instead if C is empty, or if R
-    is and the graph has at least as many edges as non-edges; past the
-    root, testing density costs about what it saves."""
-    n = len(rows)
-    if not c or not r and 2 * sum(map(int.bit_count, rows)) >= n * (n - 1):
+    is and G[C] has at least as many edges as non-edges; past the root,
+    testing density costs about what it saves."""
+    n = c.bit_count()
+    if not c or not r and 2 * sum((rows[v] & c).bit_count() for v in _bits(c)) >= n * (n - 1):
         yield from _bron_kerbosch(rows, p, c ^ p, r)
         return
     stack = [[r, c, p]]
@@ -375,34 +375,31 @@ class WellCoveredReport(NamedTuple):
 def is_well_covered(g: Graph | CoComponents) -> WellCoveredReport:
     """Whether every maximal independent set of g has the same size.
 
-    The maximal cliques of the complement are walked until one of a second
-    size appears.  A well-covered graph walks once and keeps nothing.  Any
-    other walks a second time for its witness pair, the lexicographic
-    minima of the smallest and the largest size, which no enumeration
-    order changes.
-
-    Given as its co-components, g is a join, whose maximal independent
-    sets are its parts': it is well-covered iff they all are, with one
-    alpha, and its witness pair is read off theirs.
+    g is the join of its co-components, given or found, and a join's
+    maximal independent sets are its parts': it is well-covered iff every
+    part's smallest and largest sets have one size, alpha, and its witness
+    pair is read off the parts' pairs.  A part is the disjoint union of its
+    components, whose sets are unions of one set per component; for two
+    sets of one size, S < T iff min(S ^ T) is in S, so the part's pair is
+    the union of its components' pairs.  Each component walks the maximal
+    cliques of the complement once.
     """
     if isinstance(g, CoComponents):
-        reports = [is_well_covered(part) for part, _ in g.parts]
-        alpha = max((r.alpha for r in reports), default=0)
-        if all(r.is_well_covered and r.alpha == alpha for r in reports):
-            return WellCoveredReport(True, alpha, None)
-        smallest, largest = _extremes(
-            tuple(vertices[v] for v in s)
-            for (part, places), r in zip(g.parts, reports)
-            for s in r.witness or _extremes(maximal_independent_sets(part))
-            for vertices in places
-        )
+        parts = [(part.rows, complement(part).rows, (1 << part.n) - 1, places)
+                 for part, places in g.parts]
     else:
-        h = complement(g)
-        walk = maximal_cliques(h)
-        size = len(next(walk))
-        if all(len(s) == size for s in walk):
-            return WellCoveredReport(True, size, None)
-        smallest, largest = _extremes(maximal_cliques(h))
+        h = complement(g).rows
+        parts = [(g.rows, h, c, (range(g.n),)) for c in _components((1 << g.n) - 1, h)]
+    pairs = []  # each part's smallest and largest sets, with the part's copies
+    for rows, h, mask, places in parts:
+        ends = [_extremes(_forward_walk(h, (), c, c)) for c in _components(mask, rows)]
+        pairs += [(sorted(chain.from_iterable(e)), places) for e in zip(*ends)]
+    sizes = {len(s) for s, _ in pairs}
+    if len(sizes) < 2:
+        return WellCoveredReport(True, max(sizes, default=0), None)
+    smallest, largest = _extremes(
+        tuple(vertices[v] for v in s) for s, places in pairs for vertices in places
+    )
     return WellCoveredReport(False, len(largest), (smallest, largest))
 
 
@@ -410,12 +407,13 @@ def _extremes(sets: Iterator[tuple[int, ...]]) -> tuple[tuple[int, ...], tuple[i
     """The lexicographically smallest set of the smallest size and of the
     largest size among ``sets``, sorted tuples met in any order."""
     smallest = largest = next(sets)
+    low = high = len(smallest)
     for s in sets:
         size = len(s)
-        if size < len(smallest) or size == len(smallest) and s < smallest:
-            smallest = s
-        if size > len(largest) or size == len(largest) and s < largest:
-            largest = s
+        if size <= low and (size < low or s < smallest):
+            smallest, low = s, size
+        if size >= high and (size > high or s < largest):
+            largest, high = s, size
     return smallest, largest
 
 

@@ -185,6 +185,20 @@ def test_build_plan_refuses_a_cap_under_the_floor_before_probing(probes):
     assert probes == [1]
 
 
+def test_build_plan_refuses_when_no_m_up_to_the_cap_certifies(probes):
+    # every m <= 12 is proven to fail, and 13 and 14 fail as well: a cap of
+    # 13 or 14 is probed and refused, and a cap of 15 certifies at 15
+    tgt = TargetSequence([0, "30/7", "40/7", "17/7"])
+    assert _certification_floor(tgt, THIRD) == 12
+    for cap, probed in [(13, [13]), (14, [13, 14])]:
+        probes.clear()
+        with pytest.raises(BudgetExceededError) as err:
+            build_plan(tgt, THIRD, m_cap=cap)
+        assert str(err.value) == f"no certified plan with m <= cap {cap} (epsilon 1/3)"
+        assert probes == probed
+    assert {c.m for c in build_plan(tgt, THIRD, m_cap=15).plan.components} == {15}
+
+
 def test_build_plan_doubles_then_bisects(probes):
     # b = (0, 0, 0, 0, 2, 5): every m <= 90 is proven to fail, and the
     # second term of dev_4(m) = 15 * (2/m + 5/m^2) fails 91 and 92 as well,

@@ -287,6 +287,28 @@ def test_check_1200_vertex_clique(tmp_path, capsys, g, argv, expected):
     assert sys.getrecursionlimit() == limit
 
 
+def test_check_wellcovered_hub_over_clique_and_matching(tmp_path):
+    # K_1 v (K_100 u M_20): vertex 0 sees every other, 1..100 form a clique
+    # and M_20 is the matching 101-102, ..., 139-140.  Its 100 * 2^20 + 1
+    # maximal independent sets are never listed: each part's components are
+    # walked once
+    clique = [(u, v) for u in range(1, 101) for v in range(u + 1, 101)]
+    matching = [(v, v + 1) for v in range(101, 141, 2)]
+    g = Graph.from_edges(141, [(0, v) for v in range(1, 141)] + clique + matching)
+    result = subprocess.run(
+        [sys.executable, "-m", "wellcovered.cli", "check", write_graph(tmp_path, "h.g6", g),
+         "--mode", "wellcovered"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=10,
+    )
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {
+        "is_well_covered": False, "alpha": 21, "witness": [[0], [1, *range(101, 141, 2)]],
+    }
+
+
 def test_check_out_writes_file_not_stdout(tmp_path, capsys):
     path = write_graph(tmp_path, "c4.g6", Graph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     for fmt in ("json", "text"):

@@ -11,7 +11,8 @@ import networkx as nx
 import pytest
 
 from wellcovered import enumeration
-from wellcovered.enumeration import _bron_kerbosch, _forward_walk
+from wellcovered.enumeration import WellCoveredReport, _bron_kerbosch, _forward_walk
+from wellcovered.graph import co_components
 from wellcovered import (
     Graph,
     Plan,
@@ -320,6 +321,34 @@ def test_well_covered_json():
     assert len(data["witness"]) == 2
 
 
+def test_is_well_covered_walks_each_component_once(no_maximal_clique_walk):
+    # K_1 v (K_100 u M_20) has 100 * 2^20 + 1 maximal independent sets; its
+    # parts K_1 and K_100 u M_20 have 1 + 21 components, each walked once
+    g = hub_over_clique(MATCHING_20)
+    expected = WellCoveredReport(False, 21, ((0,), (1, *range(101, 141, 2))))
+    for form in (g, co_components(g.n, list(complement(g).edges()))):
+        with mock.patch.object(enumeration, "_forward_walk", wraps=_forward_walk) as walk:
+            assert is_well_covered(form) == expected
+        assert walk.call_count == 22
+
+
+def test_small_graphs_match_oracles():
+    # every labelled graph on at most 5 vertices, whole and as its
+    # co-components: 1,100 graphs
+    graphs = 0
+    for n in range(6):
+        pairs = list(combinations(range(n), 2))
+        for bits in range(1 << len(pairs)):
+            g = Graph.from_edges(n, [e for i, e in enumerate(pairs) if bits >> i & 1])
+            split = co_components(n, list(complement(g).edges()))
+            expected = bruteforce.well_covered_report(g)
+            assert is_well_covered(g) == is_well_covered(split) == expected, (n, bits)
+            polynomial = independence_polynomial_bruteforce(g)
+            assert independence_polynomial(g) == independence_polynomial(split) == polynomial
+            graphs += 1
+    assert graphs == 1100
+
+
 # -- clique extension property --------------------------------------------
 
 
@@ -335,10 +364,12 @@ HOLDING = [
 
 @pytest.fixture
 def no_maximal_clique_walk():
-    """The whole-graph maximal clique walk raises: property-p reads every
-    witness off the common neighbourhoods of k-cliques."""
+    """The whole-graph maximal clique and independent set walks raise:
+    property-p reads every witness off the common neighbourhoods of
+    k-cliques, and well-coveredness walks each component of each part."""
     refuse = AssertionError("maximal cliques enumerated")
-    with mock.patch.object(enumeration, "maximal_cliques", side_effect=refuse):
+    with mock.patch.object(enumeration, "maximal_cliques", side_effect=refuse), \
+            mock.patch.object(enumeration, "maximal_independent_sets", side_effect=refuse):
         yield
 
 

@@ -15,10 +15,11 @@ written straight from the plan, the CLI's JSON writer against
 against the recursive reference on random graphs.  The maximal clique
 walk, well-coveredness and the clique extension check are also compared
 with their references on joins and disjoint unions of two random graphs,
-where a walk in reverse changes no report, and the independence
-polynomial on nested, random and sparse graphs (paths, cycles, and joins
-and unions of sparse random graphs) with no memo slot, three slots and
-the default.  The whole clique extension report is compared with its
+where a walk in reverse changes no report, well-coveredness also on
+relabelled nested graphs, whole and split into co-components, and the
+independence polynomial on nested, random and sparse graphs (paths,
+cycles, and joins and unions of sparse random graphs) with no memo slot,
+three slots and the default.  The whole clique extension report is compared with its
 reference on relabelled function graphs with at most one pair toggled,
 some beside a second function graph or a lone vertex, at their own
 parameters and one step off them: random graphs almost never have the
@@ -70,7 +71,7 @@ from wellcovered import (
     vertex_count,
 )
 from wellcovered import cli, enumeration
-from wellcovered.graph import CoComponents
+from wellcovered.graph import CoComponents, co_components
 from wellcovered.graph6 import complement_graph6
 from wellcovered.certificate import _certification_floor, plan_graph6
 from wellcovered.enumeration import check_ratio_chain
@@ -188,10 +189,20 @@ def hidden_witness_graphs(draw) -> Graph:
     return g
 
 
+@st.composite
+def relabelled_nested_graphs(draw) -> Graph:
+    """A nested graph with its vertices shuffled, so that parts and
+    components interleave."""
+    g = draw(nested_graphs(14))
+    return relabel(g, draw(st.permutations(range(g.n))))
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(walk_graphs(), hidden_witness_graphs()))
+@given(st.one_of(walk_graphs(), hidden_witness_graphs(), relabelled_nested_graphs()))
 def test_is_well_covered_matches_subset_reference(g):
-    assert is_well_covered(g) == bruteforce.well_covered_report(g)
+    expected = bruteforce.well_covered_report(g)
+    assert is_well_covered(g) == expected
+    assert is_well_covered(co_components(g.n, list(complement(g).edges()))) == expected
 
 
 @settings(max_examples=150, deadline=None)

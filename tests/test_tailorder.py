@@ -124,6 +124,14 @@ def test_realize_q3_swap():
     assert "graph6" not in data
 
 
+def test_realize_past_the_default_budget_has_no_graph():
+    # the plan at m = 58 needs 1,840,050 vertices
+    report = realize(perm(3, 3, 2))
+    assert not report.materialized
+    assert report.graph is None
+    assert report.graph6() is None
+
+
 def test_realize_q2_materialized():
     for images, expected_n in [((2, 1), 1066), ((1, 2), 5148)]:
         p = perm(2, *images)
